@@ -34,15 +34,12 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict
 
 import pytest
 
-from repro.bench import ExperimentResult, FigureRun, run_bulk_exchange
-from repro.core import FusionPolicy, KernelFusionScheme
-from repro.net import SystemConfig
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
+from repro.bench import FigureRun
+from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, SystemCfg, WorkloadCfg
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -51,10 +48,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: state needs only a couple of iterations past the cache-warming one)
 ITERATIONS = 2
 WARMUP = 1
-
-#: harness parameters recorded in every artifact entry so
-#: ``repro.obs.regress.rerun_entry`` can reproduce the number
-RUN_PARAMS = {"iterations": ITERATIONS, "warmup": WARMUP, "data_plane": False}
 
 
 def pytest_addoption(parser):
@@ -114,56 +107,21 @@ def sweep_run(request) -> Callable[[str], FigureRun]:
     return get
 
 
-def proposed_factory(
-    threshold_bytes: int = 512 * 1024,
-    capacity: int = 256,
-    name: Optional[str] = None,
-    **policy_kwargs,
-):
-    """Factory for the proposed scheme with a specific fusion policy."""
-
-    def factory(site, trace):
-        return KernelFusionScheme(
-            site,
-            trace,
-            policy=FusionPolicy(threshold_bytes=threshold_bytes, **policy_kwargs),
-            capacity=capacity,
-            name=name,
-        )
-
-    return factory
-
-
-def run_grid(
-    system: SystemConfig,
-    schemes: Dict[str, Callable],
-    workload: str,
-    dims: Sequence[int],
+def exchange_cfg(
+    scheme: str = "Proposed",
+    workload: str = "specfem3D_cm",
+    dim: int = 2000,
     *,
-    nbuffers: int = 16,
-    rendezvous_protocol: str = "rput",
-) -> Dict[str, Dict[int, ExperimentResult]]:
-    """results[scheme][dim] over a workload's dimension sweep."""
-    results: Dict[str, Dict[int, ExperimentResult]] = {s: {} for s in schemes}
-    for dim in dims:
-        spec = WORKLOADS[workload](dim)
-        for name, factory in schemes.items():
-            results[name][dim] = run_bulk_exchange(
-                system,
-                factory,
-                spec,
-                nbuffers=nbuffers,
-                iterations=ITERATIONS,
-                warmup=WARMUP,
-                data_plane=False,
-                rendezvous_protocol=rendezvous_protocol,
-            )
-    return results
-
-
-def baseline_schemes(*names: str) -> Dict[str, Callable]:
-    """Pick registry schemes by name, preserving order."""
-    return {n: SCHEME_REGISTRY[n] for n in names}
+    system: str = "Lassen",
+    iterations: int = ITERATIONS,
+) -> ExperimentConfig:
+    """One dry 16-buffer bulk exchange at the benchmark harness settings."""
+    return ExperimentConfig(
+        system=SystemCfg(name=system),
+        workload=WorkloadCfg(name=workload, dim=dim),
+        scheme=SchemeCfg(name=scheme),
+        harness=HarnessCfg(iterations=iterations, warmup=WARMUP, data_plane=False),
+    )
 
 
 def best_speedup(results, scheme: str, over: str) -> float:

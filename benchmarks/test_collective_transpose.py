@@ -16,8 +16,6 @@ from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
 
-from conftest import proposed_factory
-
 SIZE = 4
 N = 256  # local matrix N x N doubles
 
@@ -49,7 +47,7 @@ def test_transpose_alltoall(benchmark, report):
         "GPU-Sync": SCHEME_REGISTRY["GPU-Sync"],
         "GPU-Async": SCHEME_REGISTRY["GPU-Async"],
         "CPU-GPU-Hybrid": SCHEME_REGISTRY["CPU-GPU-Hybrid"],
-        "Proposed": proposed_factory(),
+        "Proposed": SCHEME_REGISTRY["Proposed"],
     }
     rows = []
     latency = {}

@@ -12,11 +12,8 @@ wins, with the biggest factors on the many-small-block layouts.
 
 
 from repro.bench import format_latency_table, run_bulk_exchange
-from repro.net import LASSEN
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
 
-from conftest import ITERATIONS, WARMUP, best_speedup, proposed_factory
+from conftest import best_speedup, exchange_cfg
 
 SWEEPS = {
     "WRF": [16, 32, 64],
@@ -25,12 +22,7 @@ SWEEPS = {
     "FFT2D": [64, 128, 256],
     "LAMMPS_full": [256, 1024, 4096],
 }
-SCHEMES = {
-    "GPU-Sync": SCHEME_REGISTRY["GPU-Sync"],
-    "GPU-Async": SCHEME_REGISTRY["GPU-Async"],
-    "CPU-GPU-Hybrid": SCHEME_REGISTRY["CPU-GPU-Hybrid"],
-    "Proposed": proposed_factory(),
-}
+SCHEMES = ("GPU-Sync", "GPU-Async", "CPU-GPU-Hybrid", "Proposed")
 
 
 def test_extended_workloads(benchmark, report):
@@ -39,12 +31,8 @@ def test_extended_workloads(benchmark, report):
     for workload, dims in SWEEPS.items():
         grid = {name: {} for name in SCHEMES}
         for dim in dims:
-            spec = WORKLOADS[workload](dim)
-            for name, factory in SCHEMES.items():
-                grid[name][dim] = run_bulk_exchange(
-                    LASSEN, factory, spec, nbuffers=16,
-                    iterations=ITERATIONS, warmup=WARMUP, data_plane=False,
-                )
+            for name in SCHEMES:
+                grid[name][dim] = run_bulk_exchange(exchange_cfg(name, workload, dim))
         chunks.append(
             format_latency_table(
                 grid,
@@ -63,8 +51,7 @@ def test_extended_workloads(benchmark, report):
 
     benchmark.pedantic(
         lambda: run_bulk_exchange(
-            LASSEN, SCHEMES["Proposed"], WORKLOADS["WRF"](32),
-            nbuffers=16, iterations=1, warmup=1, data_plane=False,
+            exchange_cfg("Proposed", "WRF", 32, iterations=1)
         ),
         rounds=1,
     )

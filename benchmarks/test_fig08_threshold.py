@@ -18,10 +18,12 @@ Expected shape (paper, §IV-C): a U-curve per input size —
 """
 
 
-from repro.bench import ExperimentSpec
+from repro.bench import run_bulk_exchange
 from repro.bench.figures import FIG08_DIMS as DIMS
 from repro.bench.figures import FIG08_THRESHOLDS as THRESHOLDS
 from repro.bench.figures import fig08_views
+
+from conftest import exchange_cfg
 
 KiB = 1024
 
@@ -75,12 +77,10 @@ def test_fig08_threshold_sweep(benchmark, report, artifact, sweep_run):
     assert grid[4000][4096 * KiB] > 1.05 * best_4000
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic",
-            key="fig08",
-            config={"threshold_bytes": 512 * KiB},
-            dim=2000,
-            iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            exchange_cfg(iterations=1).with_overrides(
+                {"scheme.fusion.threshold_bytes": 512 * KiB}
+            )
+        ),
         rounds=1,
     )

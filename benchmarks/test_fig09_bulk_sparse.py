@@ -13,12 +13,12 @@ kernel path plus its adaptive overhead).
 """
 
 
-from repro.bench import ExperimentSpec, format_latency_table
+from repro.bench import format_latency_table, run_bulk_exchange
 from repro.bench.figures import BULK_NBUFFERS as NBUFFERS
 from repro.bench.figures import FIG09_DIM as DIM
 from repro.bench.figures import fig09_results
 
-from conftest import best_speedup
+from conftest import best_speedup, exchange_cfg
 
 
 def test_fig09_bulk_sparse_lassen(benchmark, report, artifact, sweep_run):
@@ -54,8 +54,6 @@ def test_fig09_bulk_sparse_lassen(benchmark, report, artifact, sweep_run):
     assert best_speedup(results, "Proposed", "CPU-GPU-Hybrid") > 2.5
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig09", dim=DIM, iterations=1
-        ).run_result(),
+        lambda: run_bulk_exchange(exchange_cfg(dim=DIM, iterations=1)),
         rounds=1,
     )

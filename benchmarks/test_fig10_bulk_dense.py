@@ -14,11 +14,13 @@ Expected shape (paper):
 """
 
 
-from repro.bench import ExperimentSpec, format_latency_table
+from repro.bench import format_latency_table, run_bulk_exchange
 from repro.bench.figures import BULK_NBUFFERS as NBUFFERS
 from repro.bench.figures import FIG10_DIM as DIM
 from repro.bench.figures import FIG10_DIM_SMALL as DIM_SMALL
 from repro.bench.figures import fig10_results
+
+from conftest import exchange_cfg
 
 
 def test_fig10_bulk_dense_lassen(benchmark, report, artifact, sweep_run):
@@ -65,9 +67,6 @@ def test_fig10_bulk_dense_lassen(benchmark, report, artifact, sweep_run):
         ), nbuf
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig10", workload="MILC", dim=DIM,
-            iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(exchange_cfg(workload="MILC", dim=DIM, iterations=1)),
         rounds=1,
     )

@@ -18,11 +18,13 @@ Expected shape (paper):
 """
 
 
-from repro.bench import ExperimentSpec, format_breakdown_table
+from repro.bench import format_breakdown_table, run_bulk_exchange
 from repro.bench.figures import FIG11_DIM as DIM
 from repro.bench.figures import FIG11_NBUF as NBUF
 from repro.bench.figures import fig11_results
 from repro.sim import Category, us
+
+from conftest import exchange_cfg
 
 
 def test_fig11_time_breakdown(benchmark, report, artifact, sweep_run):
@@ -65,9 +67,8 @@ def test_fig11_time_breakdown(benchmark, report, artifact, sweep_run):
     assert by_name["Proposed"].mean_latency == min(r.mean_latency for r in results)
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig11", system="ABCI", workload="MILC",
-            dim=DIM, iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            exchange_cfg(workload="MILC", dim=DIM, system="ABCI", iterations=1)
+        ),
         rounds=1,
     )

@@ -21,11 +21,11 @@ outcome.
 """
 
 
-from repro.bench import format_latency_table
+from repro.bench import format_latency_table, run_bulk_exchange
 from repro.bench.figures import FIG12_SWEEPS as SWEEPS
 from repro.bench.figures import fig12_tables
 
-from conftest import best_speedup
+from conftest import best_speedup, exchange_cfg
 
 
 def check_figure_shape(tables, *, sparse_min_speedup):
@@ -98,11 +98,8 @@ def test_fig12_lassen(benchmark, report, artifact, sweep_run):
     emit_tables(report, "Fig12", "Lassen", tables)
     check_figure_shape(tables, sparse_min_speedup=3.0)
 
-    from repro.bench import ExperimentSpec
-
+    
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig12", dim=1000, iterations=1
-        ).run_result(),
+        lambda: run_bulk_exchange(exchange_cfg(dim=1000, iterations=1)),
         rounds=1,
     )

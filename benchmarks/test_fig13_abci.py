@@ -22,11 +22,11 @@ shard plane.
 """
 
 
-from repro.bench import ExperimentSpec
+from repro.bench import run_bulk_exchange
 from repro.bench.figures import FIG12_SWEEPS as SWEEPS
 from repro.bench.figures import fig12_tables, fig13_lassen_views
 
-from conftest import best_speedup
+from conftest import best_speedup, exchange_cfg
 from test_fig12_lassen import check_figure_shape, emit_tables
 
 
@@ -65,9 +65,6 @@ def test_fig13_abci(benchmark, report, artifact, sweep_run):
     assert async_ratio(tables, "MILC", 16) < lassen_ratio * 1.05
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig13", system="ABCI", dim=1000,
-            iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(exchange_cfg(dim=1000, system="ABCI", iterations=1)),
         rounds=1,
     )

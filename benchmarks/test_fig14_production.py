@@ -13,9 +13,11 @@ Normalized to SpectrumMPI (higher is better), like the paper's bars:
 """
 
 
-from repro.bench import ExperimentSpec, format_speedup_table, speedup_matrix
+from repro.bench import format_speedup_table, run_bulk_exchange, speedup_matrix
 from repro.bench.figures import FIG14_CASES as CASES
 from repro.bench.figures import fig14_grids
+
+from conftest import exchange_cfg
 
 
 def test_fig14_production_libraries(benchmark, report, artifact, sweep_run):
@@ -62,9 +64,8 @@ def test_fig14_production_libraries(benchmark, report, artifact, sweep_run):
     assert sparse_factor > dense_factor
 
     benchmark.pedantic(
-        lambda: ExperimentSpec(
-            experiment="pedantic", key="fig14", scheme="MVAPICH2-GDR",
-            workload="MILC", dim=16, iterations=1,
-        ).run_result(),
+        lambda: run_bulk_exchange(
+            exchange_cfg("MVAPICH2-GDR", "MILC", 16, iterations=1)
+        ),
         rounds=1,
     )

@@ -21,6 +21,7 @@ Run:  python examples/multi_gpu_nodes.py
 
 import numpy as np
 
+from repro.config import ProtocolCfg
 from repro.gpu import OpKind
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
@@ -35,7 +36,8 @@ def run_ring(enable_direct_ipc: bool):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=2, ranks_per_node=2)
     runtime = Runtime(
-        sim, cluster, SCHEME_REGISTRY["Proposed"], enable_direct_ipc=enable_direct_ipc
+        sim, cluster, SCHEME_REGISTRY["Proposed"],
+        protocol=ProtocolCfg(enable_direct_ipc=enable_direct_ipc),
     )
     spec = WORKLOADS["specfem3D_cm"](1000)
     layout = spec.datatype.flatten()

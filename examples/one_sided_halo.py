@@ -22,6 +22,7 @@ Run:  python examples/one_sided_halo.py
 
 import numpy as np
 
+from repro.config import ProtocolCfg
 from repro.mpi import Runtime, create_windows, neighbor_alltoall
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
@@ -31,10 +32,10 @@ from repro.workloads import halo_2d
 INTERIOR = (48, 48)
 
 
-def _setup(nodes, ranks_per_node, **kw):
+def _setup(nodes, ranks_per_node, protocol=ProtocolCfg()):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=nodes, ranks_per_node=ranks_per_node)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY["Proposed"], **kw)
+    rt = Runtime(sim, cluster, SCHEME_REGISTRY["Proposed"], protocol=protocol)
     sched = halo_2d(INTERIOR)
     arrays = {}
     for r in (0, 1):
@@ -75,8 +76,8 @@ def two_sided():
     return sim.now * 1e6
 
 
-def one_sided(nodes, ranks_per_node, **kw):
-    sim, rt, sched, arrays = _setup(nodes, ranks_per_node, **kw)
+def one_sided(nodes, ranks_per_node, protocol=ProtocolCfg()):
+    sim, rt, sched, arrays = _setup(nodes, ranks_per_node, protocol)
     wins = create_windows(rt, arrays)
     by_dir = {n.direction: n for n in sched.neighbors}
     order = sorted(by_dir)
@@ -106,7 +107,7 @@ def main() -> None:
     print(f"  two-sided isend/irecv (inter-node)      : {t:8.1f} us")
     t = one_sided(nodes=2, ranks_per_node=1)
     print(f"  one-sided Put + fence (inter-node)      : {t:8.1f} us")
-    t = one_sided(nodes=1, ranks_per_node=2, enable_direct_ipc=True)
+    t = one_sided(nodes=1, ranks_per_node=2, protocol=ProtocolCfg(enable_direct_ipc=True))
     print(f"  one-sided Put + fence (NVLink DirectIPC): {t:8.1f} us")
     print("\nSame ghost cells all three ways; the DirectIPC path never "
           "materializes a packed buffer at all.")

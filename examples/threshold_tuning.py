@@ -12,25 +12,31 @@ Run:  python examples/threshold_tuning.py
 """
 
 from repro.bench import run_bulk_exchange
-from repro.core import FusionPolicy, KernelFusionScheme, ModelBasedPolicy
-from repro.net import LASSEN
-from repro.workloads import WORKLOADS
+from repro.config import ExperimentConfig, HarnessCfg, WorkloadCfg
+from repro.core import KernelFusionScheme, ModelBasedPolicy
 
 KiB = 1024
 THRESHOLDS = [16 * KiB, 64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB,
               1024 * KiB, 2048 * KiB, 4096 * KiB]
 WORKLOAD, DIM = "specfem3D_cm", 2000
+BASE = ExperimentConfig(
+    workload=WorkloadCfg(name=WORKLOAD, dim=DIM, nbuffers=16),
+    harness=HarnessCfg(iterations=3, warmup=1, data_plane=False),
+)
 
 
-def run_with_policy(policy_factory) -> tuple[float, object]:
-    def scheme_factory(site, trace):
-        return KernelFusionScheme(site, trace, policy=policy_factory(site))
-
-    result = run_bulk_exchange(
-        LASSEN, scheme_factory, WORKLOADS[WORKLOAD](DIM),
-        nbuffers=16, iterations=3, warmup=1, data_plane=False,
-    )
+def run(cfg: ExperimentConfig, scheme_factory=None) -> tuple[float, object]:
+    result = run_bulk_exchange(cfg, scheme_factory=scheme_factory)
     return result.mean_latency * 1e6, result.scheduler_stats
+
+
+def model_based_scheme(site, trace):
+    """The proposed scheme under the cost-model launch policy — a policy
+    class the config tree cannot name, so it is passed as a live factory."""
+    policy = ModelBasedPolicy(
+        arch=site.device.arch, threshold_bytes=1 << 40, launch_cost_multiple=2.0
+    )
+    return KernelFusionScheme(site, trace, policy=policy)
 
 
 def main() -> None:
@@ -39,8 +45,8 @@ def main() -> None:
     print("-" * 45)
     curve = {}
     for threshold in THRESHOLDS:
-        latency, stats = run_with_policy(
-            lambda _site, t=threshold: FusionPolicy(threshold_bytes=t)
+        latency, stats = run(
+            BASE.with_overrides({"scheme.fusion.threshold_bytes": threshold})
         )
         curve[threshold] = latency
         print(
@@ -55,11 +61,7 @@ def main() -> None:
         "over-fused above (§IV-C)"
     )
 
-    latency, stats = run_with_policy(
-        lambda site: ModelBasedPolicy(
-            arch=site.device.arch, threshold_bytes=1 << 40, launch_cost_multiple=2.0
-        )
-    )
+    latency, stats = run(BASE, scheme_factory=model_based_scheme)
     print(
         f"\nmodel-based policy (no tuning): {latency:.1f} us "
         f"({stats.launches} fused kernels, mean batch {stats.mean_batch:.1f})"

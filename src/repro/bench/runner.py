@@ -19,53 +19,36 @@ against a NumPy reference (something the original hardware experiments
 could not do inline), so the performance harness doubles as an
 end-to-end correctness check.
 
-Passing ``faults=FaultPlan(...)`` runs the same exchange on an
-imperfect fabric/GPU: the harness attaches the plan to the simulator,
-keeps the byte-exactness check on, and aggregates every recovery action
-(link retransmits, control watchdog fires, scheduler ladder steps) into
-a :class:`RecoveryReport` — the chaos-sweep evidence that faults cost
-time, never correctness.
+Configuring ``faults`` (a preset or spec overrides) runs the same
+exchange on an imperfect fabric/GPU: the harness attaches the plan to
+the simulator, keeps the byte-exactness check on, and aggregates every
+recovery action (link retransmits, control watchdog fires, scheduler
+ladder steps) into a :class:`RecoveryReport` — the chaos-sweep evidence
+that faults cost time, never correctness.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..config import (
-    ExperimentConfig,
-    FaultsCfg,
-    HarnessCfg,
-    NoiseCfg,
-    ProtocolCfg,
-    SchemeCfg,
-    SystemCfg,
-    WorkloadCfg,
-)
+from ..config import ExperimentConfig
 from ..datatypes.layout import DataLayout
 from ..mpi.communicator import Runtime
-from ..net.systems import SystemConfig
 from ..net.topology import Cluster
 from ..obs.metrics import MetricsSnapshot
 from ..obs.observer import Observer
 from ..schemes.base import PackingScheme
 from ..sim.engine import Simulator
 from ..sim.faults import FaultPlan
-from ..sim.noise import NoiseModel
 from ..sim.trace import Category
-from ..workloads.base import WorkloadSpec
 
 __all__ = ["ExperimentResult", "RecoveryReport", "run_bulk_exchange"]
 
 SchemeFactory = Callable[..., PackingScheme]
-
-#: sentinel distinguishing "keyword not passed" from an explicit value
-#: in the legacy deprecation shim
-_UNSET: object = object()
 
 
 @dataclass
@@ -208,41 +191,20 @@ def _fill_random(buffers, rng: np.random.Generator) -> None:
 
 
 def run_bulk_exchange(
-    system: Union[ExperimentConfig, SystemConfig],
-    scheme_factory: Optional[SchemeFactory] = None,
-    spec: Optional[WorkloadSpec] = None,
+    cfg: ExperimentConfig,
     *,
-    nbuffers: Any = _UNSET,
-    iterations: Any = _UNSET,
-    warmup: Any = _UNSET,
-    verify: Any = _UNSET,
-    data_plane: Any = _UNSET,
-    rendezvous_protocol: Any = _UNSET,
-    eager_threshold: Any = _UNSET,
-    layout_cache_enabled: Any = _UNSET,
-    seed: Any = _UNSET,
-    noise: Any = _UNSET,
-    faults: Any = _UNSET,
     obs: Optional[Observer] = None,
+    scheme_factory: Optional[SchemeFactory] = None,
+    faults: Optional[FaultPlan] = None,
 ) -> ExperimentResult:
-    """Run one experiment and return its measurements.
+    """Run one configured experiment and return its measurements.
 
-    The single entry point of the config plane::
-
-        run_bulk_exchange(ExperimentConfig(...), obs=...)
-
-    resolves everything — system, workload, scheme factory, protocol,
-    noise, faults — from the one validated config.  The historical
-    ``run_bulk_exchange(system, scheme_factory, spec, **kwargs)``
-    signature survives as a deprecation shim that folds the loose
-    arguments into an :class:`~repro.config.ExperimentConfig` (gaining
-    its validation) before running; no knob is read from anywhere else.
-
-    ``data_plane=False`` prices every operation but moves no bytes —
-    identical timing, used for multi-megabyte sweeps where the NumPy
-    copies would dominate harness wall time.  ``noise`` / ``faults``
-    attach an execution-noise model and a fault-injection plan; with
-    faults the result carries a :class:`RecoveryReport`.
+    Everything — system, workload, scheme, protocol, noise, faults,
+    harness — is resolved from the one validated ``cfg``.
+    ``harness.data_plane=False`` prices every operation but moves no
+    bytes — identical timing, used for multi-megabyte sweeps where the
+    NumPy copies would dominate harness wall time.  With faults
+    configured the result carries a :class:`RecoveryReport`.
 
     ``obs`` attaches a live :class:`~repro.obs.Observer`: the result
     then carries a frozen :class:`~repro.obs.MetricsSnapshot` and, when
@@ -252,132 +214,23 @@ def run_bulk_exchange(
     identical with or without it.  Fault runs build their
     :class:`RecoveryReport` from these metrics; an internal observer is
     created when none is passed.
+
+    Two keywords take live objects the config cannot name:
+    ``scheme_factory`` replaces the scheme ``cfg.scheme`` would build
+    (e.g. a custom fusion policy class), and ``faults`` replaces the plan
+    ``cfg.faults`` would build (e.g. a scripted fault fake).
     """
-    legacy = {
-        "nbuffers": nbuffers,
-        "iterations": iterations,
-        "warmup": warmup,
-        "verify": verify,
-        "data_plane": data_plane,
-        "rendezvous_protocol": rendezvous_protocol,
-        "eager_threshold": eager_threshold,
-        "layout_cache_enabled": layout_cache_enabled,
-        "seed": seed,
-        "noise": noise,
-        "faults": faults,
-    }
-    if isinstance(system, ExperimentConfig):
-        passed = sorted(k for k, v in legacy.items() if v is not _UNSET)
-        if scheme_factory is not None or spec is not None or passed:
-            raise TypeError(
-                "run_bulk_exchange(config) takes every knob from the config; "
-                f"unexpected extra arguments: {passed or 'scheme_factory/spec'}"
-            )
-        return _run_experiment(system, obs=obs)
-
-    warnings.warn(
-        "run_bulk_exchange(system, scheme_factory, spec, **kwargs) is "
-        "deprecated; pass one repro.config.ExperimentConfig instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if scheme_factory is None or spec is None:
-        raise TypeError(
-            "legacy run_bulk_exchange needs (system, scheme_factory, spec)"
-        )
-    cfg, live_noise, live_faults = _legacy_config(system, spec, legacy)
-    return _run_experiment(
-        cfg,
-        obs=obs,
-        system=system,
-        scheme_factory=scheme_factory,
-        workload=spec,
-        noise=live_noise,
-        faults=live_faults,
-    )
-
-
-def _legacy_config(
-    system: SystemConfig, spec: WorkloadSpec, legacy: Dict[str, Any]
-) -> tuple:
-    """Fold the legacy keyword vocabulary into an ExperimentConfig.
-
-    Returns ``(cfg, noise, faults)`` — the live noise/fault objects are
-    threaded through by identity so callers keep their stats views.
-    """
-
-    def pick(name: str, default: Any) -> Any:
-        value = legacy[name]
-        return default if value is _UNSET else value
-
-    noise = pick("noise", None)
-    faults = pick("faults", None)
-    import dataclasses as _dc
-
-    noise_cfg = (
-        NoiseCfg(cv=noise.cv, seed=noise.seed) if noise is not None else NoiseCfg()
-    )
-    faults_cfg = (
-        FaultsCfg(spec=_dc.asdict(faults.spec), seed=faults.seed)
-        if faults is not None
-        else FaultsCfg()
-    )
-    cfg = ExperimentConfig(
-        system=SystemCfg(name=getattr(system, "name", "custom")),
-        workload=WorkloadCfg(
-            name=spec.name, dim=spec.dim, nbuffers=pick("nbuffers", 16)
-        ),
-        scheme=SchemeCfg(),
-        protocol=ProtocolCfg(
-            rendezvous=pick("rendezvous_protocol", "rput"),
-            eager_threshold=pick("eager_threshold", None),
-            layout_cache_enabled=pick("layout_cache_enabled", True),
-        ),
-        noise=noise_cfg,
-        faults=faults_cfg,
-        harness=HarnessCfg(
-            iterations=pick("iterations", 5),
-            warmup=pick("warmup", 1),
-            verify=pick("verify", True),
-            data_plane=pick("data_plane", True),
-            seed=pick("seed", 42),
-        ),
-    )
-    return cfg, noise, faults
-
-
-def _run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    obs: Optional[Observer] = None,
-    system: Optional[SystemConfig] = None,
-    scheme_factory: Optional[SchemeFactory] = None,
-    workload: Optional[WorkloadSpec] = None,
-    noise: Optional[NoiseModel] = None,
-    faults: Optional[FaultPlan] = None,
-) -> ExperimentResult:
-    """Execute one configured experiment.
-
-    The config is the single source of truth; the optional live-object
-    arguments exist for the legacy shim, which already holds resolved
-    instances (and must keep their identity — e.g. the caller's
-    ``FaultPlan.stats``).  The config path resolves everything here.
-    """
-    if system is None:
-        system = cfg.system.resolve()
-    if workload is None:
-        workload = cfg.workload.resolve()
+    system = cfg.system.resolve()
+    spec = cfg.workload.resolve()
     if scheme_factory is None:
         from ..schemes import make_scheme_factory
 
         scheme_factory = make_scheme_factory(cfg.scheme)
-    if noise is None:
-        noise = cfg.noise.build(cfg.harness.seed)
+    noise = cfg.noise.build(cfg.harness.seed)
     if faults is None:
         faults = cfg.faults.build(cfg.harness.seed)
     if obs is None:
         obs = cfg.obs.build()
-    spec = workload
     nbuffers = cfg.workload.nbuffers
     iterations = cfg.harness.iterations
     warmup = cfg.harness.warmup

@@ -63,7 +63,6 @@ __all__ = [
     "SweepStats",
     "code_salt",
     "run_sweep",
-    "scheme_factory_for",
 ]
 
 CACHE_SCHEMA = "repro.obs/sweep-cache"
@@ -81,28 +80,7 @@ class SweepError(RuntimeError):
         self.failures: List[Tuple[str, str]] = list(failures)
 
 
-#: legacy flat-dict spec vocabulary (pre-config-plane cache documents
-#: and ``from_dict`` compatibility)
-_LEGACY_SPEC_FIELDS = (
-    "experiment",
-    "key",
-    "kind",
-    "system",
-    "scheme",
-    "workload",
-    "dim",
-    "nbuffers",
-    "config",
-    "iterations",
-    "warmup",
-    "data_plane",
-    "rendezvous_protocol",
-    "seed",
-    "table",
-)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExperimentSpec:
     """One independent, seed-deterministic shard of a sweep.
 
@@ -112,58 +90,13 @@ class ExperimentSpec:
     named inside the config, and :meth:`run_result` rebuilds the live
     objects from the registries inside whichever process runs the
     shard.
-
-    The historical flat keyword vocabulary (``scheme=``, ``dim=``,
-    ``config={...}`` with scheme-constructor overrides exactly as
-    artifact entries record them) still constructs a spec — it folds
-    into the config tree — and read-only properties expose the same
-    flat view.
     """
 
     experiment: str
     key: str
-    kind: str
-    table: str
-    cfg: ExperimentConfig
-
-    def __init__(
-        self,
-        experiment: str,
-        key: str,
-        kind: str = "exchange",
-        table: str = "",
-        cfg: Optional[ExperimentConfig] = None,
-        *,
-        system: str = "Lassen",
-        scheme: str = "Proposed",
-        workload: str = "specfem3D_cm",
-        dim: int = 1000,
-        nbuffers: int = 16,
-        config: Optional[Mapping[str, Any]] = None,
-        iterations: int = 2,
-        warmup: int = 1,
-        data_plane: bool = False,
-        rendezvous_protocol: str = "rput",
-        seed: int = 42,
-    ):
-        if cfg is None:
-            cfg = ExperimentConfig(
-                system=SystemCfg(name=system),
-                workload=WorkloadCfg(name=workload, dim=dim, nbuffers=nbuffers),
-                scheme=SchemeCfg.from_overrides(scheme, config or {}),
-                protocol=ProtocolCfg(rendezvous=rendezvous_protocol),
-                harness=HarnessCfg(
-                    iterations=iterations,
-                    warmup=warmup,
-                    data_plane=data_plane,
-                    seed=seed,
-                ),
-            )
-        object.__setattr__(self, "experiment", experiment)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "cfg", cfg)
+    kind: str = "exchange"
+    table: str = ""
+    cfg: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     @classmethod
     def from_config(
@@ -178,52 +111,6 @@ class ExperimentSpec:
         """The config-plane constructor."""
         return cls(experiment, key, kind, table, cfg)
 
-    # -- flat legacy view --------------------------------------------------
-    @property
-    def system(self) -> str:
-        return self.cfg.system.name
-
-    @property
-    def scheme(self) -> str:
-        return self.cfg.scheme.name
-
-    @property
-    def workload(self) -> str:
-        return self.cfg.workload.name
-
-    @property
-    def dim(self) -> int:
-        return self.cfg.workload.dim
-
-    @property
-    def nbuffers(self) -> int:
-        return self.cfg.workload.nbuffers
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        """Scheme-constructor overrides, in artifact-entry vocabulary."""
-        return self.cfg.scheme.overrides_dict()
-
-    @property
-    def iterations(self) -> int:
-        return self.cfg.harness.iterations
-
-    @property
-    def warmup(self) -> int:
-        return self.cfg.harness.warmup
-
-    @property
-    def data_plane(self) -> bool:
-        return self.cfg.harness.data_plane
-
-    @property
-    def rendezvous_protocol(self) -> str:
-        return self.cfg.protocol.rendezvous
-
-    @property
-    def seed(self) -> int:
-        return self.cfg.harness.seed
-
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (stable key order, JSON-safe)."""
@@ -237,18 +124,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or from the
-        pre-config-plane flat shape)."""
-        if "cfg" in data:
-            return cls(
-                experiment=str(data["experiment"]),
-                key=str(data["key"]),
-                kind=str(data.get("kind", "exchange")),
-                table=str(data.get("table", "")),
-                cfg=ExperimentConfig.from_dict(data["cfg"]),
-            )
-        known = {f: data[f] for f in _LEGACY_SPEC_FIELDS if f in data}
-        return cls(**known)
+        """Rebuild a spec from :meth:`to_dict` output."""
+        return cls(
+            experiment=str(data["experiment"]),
+            key=str(data["key"]),
+            kind=str(data.get("kind", "exchange")),
+            table=str(data.get("table", "")),
+            cfg=ExperimentConfig.from_dict(data["cfg"]),
+        )
 
     @classmethod
     def from_entry(
@@ -260,21 +143,27 @@ class ExperimentSpec:
         re-runs a baseline measurement.
         """
         run = dict(entry.get("run", {}))
-        return cls(
-            experiment=experiment,
-            key=str(entry["key"]),
-            system=str(entry["system"]),
-            scheme=str(entry["scheme"]),
-            workload=str(entry["workload"]),
-            dim=int(entry["dim"]),
-            nbuffers=int(entry["nbuffers"]),
-            config=dict(entry.get("config", {})),
-            iterations=int(run.get("iterations", 2)),
-            warmup=int(run.get("warmup", 1)),
-            data_plane=bool(run.get("data_plane", False)),
-            rendezvous_protocol=str(run.get("rendezvous_protocol", "rput")),
-            seed=int(run.get("seed", 42)),
+        cfg = ExperimentConfig(
+            system=SystemCfg(name=str(entry["system"])),
+            workload=WorkloadCfg(
+                name=str(entry["workload"]),
+                dim=int(entry["dim"]),
+                nbuffers=int(entry["nbuffers"]),
+            ),
+            scheme=SchemeCfg.from_overrides(
+                str(entry["scheme"]), dict(entry.get("config", {}))
+            ),
+            protocol=ProtocolCfg(
+                rendezvous=str(run.get("rendezvous_protocol", "rput"))
+            ),
+            harness=HarnessCfg(
+                iterations=int(run.get("iterations", 2)),
+                warmup=int(run.get("warmup", 1)),
+                data_plane=bool(run.get("data_plane", False)),
+                seed=int(run.get("seed", 42)),
+            ),
         )
+        return cls(experiment, str(entry["key"]), cfg=cfg)
 
     def cache_key(self, salt: str) -> str:
         """Content address of this shard under a code-version salt.
@@ -294,12 +183,13 @@ class ExperimentSpec:
     # -- execution ---------------------------------------------------------
     def run_params(self) -> Dict[str, Any]:
         """The ``run`` block recorded into the artifact entry."""
+        harness = self.cfg.harness
         return {
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "data_plane": self.data_plane,
-            "rendezvous_protocol": self.rendezvous_protocol,
-            "seed": self.seed,
+            "iterations": harness.iterations,
+            "warmup": harness.warmup,
+            "data_plane": harness.data_plane,
+            "rendezvous_protocol": self.cfg.protocol.rendezvous,
+            "seed": harness.seed,
         }
 
     def run_result(self, obs: Any = None) -> Any:
@@ -324,23 +214,9 @@ class ExperimentSpec:
         return result_entry(
             result,
             key=self.key,
-            config=self.config or None,
+            config=self.cfg.scheme.overrides_dict() or None,
             run=self.run_params(),
         )
-
-
-def scheme_factory_for(scheme: str, config: Mapping[str, Any]):
-    """Rebuild a ``factory(site, trace)`` from a scheme name + overrides.
-
-    Thin wrapper over :func:`repro.schemes.make_scheme_factory`: the
-    legacy ``config`` block (``threshold_bytes`` / ``capacity`` /
-    policy knobs / ``name``) folds into a
-    :class:`~repro.config.SchemeCfg`, so a worker process reproduces
-    the serial run's scheme byte for byte.
-    """
-    from ..schemes import make_scheme_factory
-
-    return make_scheme_factory(SchemeCfg.from_overrides(scheme, config or {}))
 
 
 @functools.lru_cache(maxsize=1)

@@ -291,7 +291,7 @@ def cmd_autotune(args) -> int:
     model = recommend_threshold(system.gpu_arch, layout)
     print(f"model-based recommendation: {model // KiB} KB "
           f"(§IV-C: fused time >= 2x launch overhead)\n")
-    result = autotune_threshold(system, spec, nbuffers=args.nbuffers)
+    result = autotune_threshold(_experiment_config(args, "Proposed"))
     print("empirical sweep:")
     print(result.describe())
     print(f"\nempirical best: {result.best_threshold // KiB} KB "

@@ -68,7 +68,7 @@ CONFIG_SCHEMA = "repro.config/v1"
 _RENDEZVOUS = ("rput", "rget")
 
 #: scheme-constructor override keys routed to :class:`FusionCfg` (the
-#: legacy artifact ``config`` block vocabulary)
+#: artifact-entry ``config`` block vocabulary)
 _FUSION_KEYS = (
     "threshold_bytes",
     "max_batch_requests",
@@ -222,7 +222,7 @@ class SchemeCfg:
 
     @classmethod
     def from_overrides(cls, name: str, overrides: Mapping[str, Any]) -> "SchemeCfg":
-        """Build from a legacy artifact-entry ``config`` block.
+        """Build from an artifact entry's ``config`` block.
 
         The block's vocabulary (``threshold_bytes`` / ``capacity`` /
         policy knobs / ``name``) maps onto :class:`FusionCfg` +
@@ -234,7 +234,7 @@ class SchemeCfg:
         return cls(name=name, label=label, fusion=fusion, options=overrides)
 
     def overrides_dict(self) -> Dict[str, Any]:
-        """The legacy ``config`` block this scheme config records into
+        """The ``config`` block this scheme config records into
         artifact entries (inverse of :meth:`from_overrides`)."""
         out: Dict[str, Any] = {
             k: v
@@ -282,30 +282,6 @@ class ProtocolCfg:
         _require(self.flatten_block_cost >= 0, "protocol.flatten_block_cost must be >= 0")
         if not (isinstance(self.pipeline_chunk_bytes, int) and self.pipeline_chunk_bytes >= 1):
             raise ValueError("pipeline_chunk_bytes must be positive")
-
-    #: legacy ``Runtime.__init__`` keyword → config field
-    _LEGACY_KWARGS = {
-        "rendezvous_protocol": "rendezvous",
-        "eager_threshold": "eager_threshold",
-        "enable_direct_ipc": "enable_direct_ipc",
-        "layout_cache_enabled": "layout_cache_enabled",
-        "poll_interval": "poll_interval",
-        "flatten_base_cost": "flatten_base_cost",
-        "flatten_block_cost": "flatten_block_cost",
-        "host_staging_threshold": "host_staging_threshold",
-        "pipeline_chunk_bytes": "pipeline_chunk_bytes",
-    }
-
-    @classmethod
-    def from_kwargs(cls, **legacy: Any) -> "ProtocolCfg":
-        """Build from the legacy ``Runtime``/``run_bulk_exchange``
-        keyword vocabulary (``rendezvous_protocol=...``)."""
-        unknown = set(legacy) - set(cls._LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"unknown protocol keyword(s): {sorted(unknown)}"
-            )
-        return cls(**{cls._LEGACY_KWARGS[k]: v for k, v in legacy.items()})
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
+from ..config import ExperimentConfig
 from ..datatypes.layout import DataLayout
 from ..gpu.archs import GPUArchitecture
 from ..gpu.kernels import kernel_compute_time
-from ..net.systems import SystemConfig
-from ..workloads.base import WorkloadSpec
 
 __all__ = ["recommend_threshold", "AutotuneResult", "autotune_threshold"]
 
@@ -87,56 +86,24 @@ class AutotuneResult:
 
 
 def autotune_threshold(
-    system: SystemConfig,
-    spec: WorkloadSpec,
+    base: ExperimentConfig,
     *,
     candidates: Sequence[int] = DEFAULT_CANDIDATES,
-    nbuffers: int = 16,
-    iterations: int = 2,
-    warmup: int = 1,
 ) -> AutotuneResult:
-    """Empirical §IV-C tuning: sweep candidates, return the argmin."""
+    """Empirical §IV-C tuning: sweep candidates, return the argmin.
+
+    Each candidate runs ``base`` with ``scheme.fusion.threshold_bytes``
+    set to it; every other field of ``base`` (system, workload,
+    protocol, noise, harness, ...) is kept as given.
+    """
     # Imported here: bench depends on core for the proposed scheme.
     from ..bench.runner import run_bulk_exchange
-    from ..config import ExperimentConfig, HarnessCfg, SystemCfg, WorkloadCfg
-    from ..net.systems import SYSTEMS
-    from ..workloads import WORKLOADS
 
     if not candidates:
         raise ValueError("need at least one candidate threshold")
-
-    base = None
-    if system.name in SYSTEMS and spec.name in WORKLOADS:
-        base = ExperimentConfig(
-            system=SystemCfg(name=system.name),
-            workload=WorkloadCfg(name=spec.name, dim=spec.dim, nbuffers=nbuffers),
-            harness=HarnessCfg(
-                iterations=iterations, warmup=warmup, data_plane=False
-            ),
-        )
-
     curve: Dict[int, float] = {}
     for threshold in candidates:
-        if base is not None:
-            cfg = base.with_overrides(
-                {"scheme.fusion.threshold_bytes": threshold}
-            )
-            result = run_bulk_exchange(cfg)
-        else:
-            # Caller handed us out-of-registry system/workload objects the
-            # config plane cannot name — go through the legacy shim.
-            from .framework import KernelFusionScheme
-            from .fusion_policy import FusionPolicy
-
-            def factory(site, trace, _t=threshold):
-                return KernelFusionScheme(
-                    site, trace, policy=FusionPolicy(threshold_bytes=_t)
-                )
-
-            result = run_bulk_exchange(
-                system, factory, spec, nbuffers=nbuffers,
-                iterations=iterations, warmup=warmup, data_plane=False,
-            )
-        curve[threshold] = result.mean_latency
+        cfg = base.with_overrides({"scheme.fusion.threshold_bytes": threshold})
+        curve[threshold] = run_bulk_exchange(cfg).mean_latency
     best = min(curve, key=curve.get)
     return AutotuneResult(best_threshold=best, best_latency=curve[best], curve=curve)

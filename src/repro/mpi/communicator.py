@@ -69,19 +69,8 @@ class Runtime:
         cluster: Cluster,
         scheme_factory: SchemeFactory,
         *,
-        protocol: Optional[ProtocolCfg] = None,
-        **legacy_kwargs,
+        protocol: ProtocolCfg = ProtocolCfg(),
     ):
-        if protocol is None:
-            # Deprecation shim: the loose keyword vocabulary
-            # (rendezvous_protocol=..., eager_threshold=...) folds into
-            # one validated ProtocolCfg — the single source of truth.
-            protocol = ProtocolCfg.from_kwargs(**legacy_kwargs)
-        elif legacy_kwargs:
-            raise TypeError(
-                "pass either protocol=ProtocolCfg(...) or legacy keyword "
-                f"knobs, not both: {sorted(legacy_kwargs)}"
-            )
         self.sim = sim
         self.cluster = cluster
         #: the validated transport sub-config this runtime was built from
@@ -363,9 +352,9 @@ class Rank:
         Models the datatype-processing economics of [24]: a committed
         type's layout is extracted ("flattened on the fly") the first
         time it is used and cached; with the cache disabled
-        (``Runtime(layout_cache_enabled=False)``) every message re-walks
-        the datatype tree — base cost plus a per-block term — charged
-        to the ``SCHED`` bucket of this rank's trace.
+        (``ProtocolCfg(layout_cache_enabled=False)``) every message
+        re-walks the datatype tree — base cost plus a per-block term —
+        charged to the ``SCHED`` bucket of this rank's trace.
         """
         if isinstance(datatype, DataLayout):
             return datatype.replicate(count) if count != 1 else datatype

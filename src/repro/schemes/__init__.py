@@ -4,12 +4,12 @@ The proposed design itself lives in :mod:`repro.core`; this package
 holds the scheme interface and every competitor, plus a registry used
 by the benchmark harness.  :func:`make_scheme_factory` is the single
 instantiation path: it consumes a :class:`~repro.config.SchemeCfg`
-(or a legacy ``(name, **kwargs)`` pair) and validates every override
-against the scheme's constructor signature.
+and validates every override against the scheme's constructor
+signature.
 """
 
 import inspect
-from typing import Any, Callable, Dict, Union
+from typing import Any, Callable, Dict
 
 from ..config import SchemeCfg
 from ..net.topology import RankSite
@@ -110,27 +110,16 @@ def _fusion_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme
     return factory
 
 
-def make_scheme_factory(
-    scheme: Union[str, SchemeCfg], **kwargs: Any
-) -> Callable[[RankSite, Trace], PackingScheme]:
+def make_scheme_factory(cfg: SchemeCfg) -> Callable[[RankSite, Trace], PackingScheme]:
     """The single scheme-instantiation path: ``factory(site, trace)``.
 
-    Accepts a :class:`~repro.config.SchemeCfg` (the config plane) or a
-    legacy ``(name, **kwargs)`` pair, which is folded into one.  A
-    fusion-configured scheme config (any ``fusion`` override or a
+    A fusion-configured scheme config (any ``fusion`` override or a
     ``label``) builds a :class:`~repro.core.framework.KernelFusionScheme`
     exactly as the benchmark drivers do; everything else resolves
     through :data:`SCHEME_REGISTRY`.  Unknown scheme names raise
     ``KeyError``; unknown constructor overrides raise ``ValueError``
     naming the bad key and the scheme.
     """
-    if isinstance(scheme, SchemeCfg):
-        if kwargs:
-            raise TypeError("pass overrides inside SchemeCfg, not as keywords")
-        cfg = scheme
-    else:
-        cfg = SchemeCfg.from_overrides(scheme, kwargs)
-
     if cfg.fusion_configured:
         return _fusion_factory(cfg)
 

@@ -21,7 +21,6 @@ from .engine import (
     us,
 )
 from .resources import Channel, Resource, Store
-from .chrometrace import chrome_trace_events, export_chrome_trace
 from .faults import FAULT_PRESETS, FaultError, FaultPlan, FaultSpec, FaultStats
 from .noise import NoiseModel
 from .timeline import render_timeline
@@ -45,14 +44,12 @@ __all__ = [
     "Span",
     "Trace",
     "render_timeline",
-    "chrome_trace_events",
     "NoiseModel",
     "FaultPlan",
     "FaultSpec",
     "FaultStats",
     "FaultError",
     "FAULT_PRESETS",
-    "export_chrome_trace",
     "us",
     "ns",
     "ms",

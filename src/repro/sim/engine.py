@@ -153,9 +153,6 @@ class Event:
 
     __slots__ = ("sim", "_callbacks", "_value", "_ok", "_triggered", "_processed", "name")
 
-    #: kept as a class attribute for backwards compatibility
-    _PENDING = _PENDING
-
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
@@ -170,8 +167,7 @@ class Event:
         """Subscribe ``callback`` to run (with this event) when it fires.
 
         The storage is lazy: no container is allocated for the first
-        subscriber.  This is the hot-path API; the :attr:`callbacks`
-        list view exists for introspection and external composition.
+        subscriber.
         """
         cbs = self._callbacks
         if cbs is None:
@@ -191,25 +187,6 @@ class Event:
                 cbs.remove(callback)
         elif cbs == callback:
             self._callbacks = None
-
-    @property
-    def callbacks(self) -> List[Callback]:
-        """Mutable list of subscribed callbacks.
-
-        Accessing it materializes the lazy storage into a real list
-        that *is* the storage from then on, so ``ev.callbacks.append``
-        keeps working exactly as before the lazy representation.
-        """
-        cbs = self._callbacks
-        if type(cbs) is list:
-            return cbs
-        cbs = [] if cbs is None else [cbs]
-        self._callbacks = cbs
-        return cbs
-
-    @callbacks.setter
-    def callbacks(self, value: List[Callback]) -> None:
-        self._callbacks = value
 
     # -- state inspection -------------------------------------------------
     @property

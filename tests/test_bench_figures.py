@@ -71,7 +71,7 @@ def test_fig12_tuning_phase_shape():
     assert {t.key for t in tuning} == set(_fake_tuning())
     # candidates only vary the fusion threshold
     assert all(
-        t.config.get("threshold_bytes") in TUNE_CANDIDATES for t in tuning
+        t.cfg.scheme.fusion.threshold_bytes in TUNE_CANDIDATES for t in tuning
     )
 
 
@@ -98,10 +98,10 @@ def test_tuned_threshold_reaches_grid_specs():
     for workload in FIG12_SWEEPS:
         fake[f"tune/{workload}/thr={TUNE_CANDIDATES[-1] // 1024}KB"] = _fake_view(0.5)
     grid = FIGURES["fig12"].expand(fake)
-    tuned = [s for s in grid if s.scheme == "Proposed-Tuned"]
+    tuned = [s for s in grid if s.cfg.scheme.name == "Proposed-Tuned"]
     assert tuned
     assert all(
-        s.config["threshold_bytes"] == TUNE_CANDIDATES[-1] for s in tuned
+        s.cfg.scheme.fusion.threshold_bytes == TUNE_CANDIDATES[-1] for s in tuned
     )
 
 
@@ -110,9 +110,9 @@ def test_fig13_includes_lassen_comparison_shards():
     keys = {s.key for s in specs}
     assert "lassen_milc/GPU-Async/dim=16" in keys
     lassen = [s for s in specs if s.key.startswith("lassen")]
-    assert lassen and all(s.system == "Lassen" for s in lassen)
+    assert lassen and all(s.cfg.system.name == "Lassen" for s in lassen)
     abci = [s for s in specs if not s.key.startswith("lassen")]
-    assert abci and all(s.system == "ABCI" for s in abci)
+    assert abci and all(s.cfg.system.name == "ABCI" for s in abci)
 
 
 def test_run_figure_smoke_and_artifact(tmp_path):

@@ -10,21 +10,24 @@ from repro.bench import (
     run_bulk_exchange,
     speedup_matrix,
 )
-from repro.net import LASSEN
-from repro.schemes import SCHEME_REGISTRY
+from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, WorkloadCfg
 from repro.sim import Category
-from repro.workloads import WORKLOADS
+
+
+def _cfg(scheme="GPU-Sync", dim=32, nbuffers=4, **harness):
+    return ExperimentConfig(
+        workload=WorkloadCfg(name="NAS_MG", dim=dim, nbuffers=nbuffers),
+        scheme=SchemeCfg(name=scheme),
+        harness=HarnessCfg(**harness),
+    )
 
 
 @pytest.fixture(scope="module")
 def results():
-    spec = WORKLOADS["NAS_MG"](32)
-    out = {}
-    for name in ("GPU-Sync", "Proposed"):
-        out[name] = run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY[name], spec, nbuffers=4, iterations=3, warmup=1
-        )
-    return out
+    return {
+        name: run_bulk_exchange(_cfg(name, iterations=3, warmup=1))
+        for name in ("GPU-Sync", "Proposed")
+    }
 
 
 def test_result_latencies_recorded(results):
@@ -68,23 +71,19 @@ def test_scheduler_stats_captured(results):
 
 
 def test_data_plane_off_matches_timing():
-    spec = WORKLOADS["NAS_MG"](32)
-    wet = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=2, iterations=2, warmup=1
-    )
+    wet = run_bulk_exchange(_cfg(nbuffers=2, iterations=2, warmup=1))
     dry = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=2, iterations=2, warmup=1,
-        data_plane=False,
+        _cfg(nbuffers=2, iterations=2, warmup=1, data_plane=False)
     )
     assert dry.mean_latency == pytest.approx(wet.mean_latency, rel=1e-9)
 
 
 def test_runner_validation():
-    spec = WORKLOADS["NAS_MG"](16)
     with pytest.raises(ValueError):
-        run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, iterations=0
-        )
+        _cfg(dim=16, iterations=0)
+    three_nodes = _cfg(dim=16).with_overrides({"system.nodes": 3})
+    with pytest.raises(ValueError, match="exactly 2 ranks"):
+        run_bulk_exchange(three_nodes)
 
 
 def test_verification_detects_dropped_bytes(monkeypatch):
@@ -100,12 +99,8 @@ def test_verification_detects_dropped_bytes(monkeypatch):
             super().__init__(sim, system, nodes, ranks_per_node, functional=False)
 
     monkeypatch.setattr(runner_mod, "Cluster", SabotagedCluster)
-    spec = WORKLOADS["NAS_MG"](16)
     with pytest.raises(AssertionError, match="corruption"):
-        run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec,
-            nbuffers=2, iterations=1, warmup=0,
-        )
+        run_bulk_exchange(_cfg(dim=16, nbuffers=2, iterations=1, warmup=0))
 
 
 # -- report formatting -------------------------------------------------------------

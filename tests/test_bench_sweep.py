@@ -24,27 +24,30 @@ from repro.bench.sweep import (
     SweepResult,
     code_salt,
     run_sweep,
-    scheme_factory_for,
 )
+from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, WorkloadCfg
 from repro.obs.metrics import MetricsRegistry
+from repro.schemes import make_scheme_factory
 from repro.sim import Category
 
+#: a fast MILC shard (sub-second even on the slowest runner)
+SMALL = ExperimentConfig(
+    workload=WorkloadCfg(name="MILC", dim=2, nbuffers=1),
+    harness=HarnessCfg(iterations=1, data_plane=False),
+)
 
-def small_spec(key="shard", scheme="GPU-Sync", **kwargs):
-    """A fast MILC shard (sub-second even on the slowest runner)."""
-    kwargs.setdefault("experiment", "test")
-    kwargs.setdefault("workload", "MILC")
-    kwargs.setdefault("dim", 2)
-    kwargs.setdefault("nbuffers", 1)
-    kwargs.setdefault("iterations", 1)
-    return ExperimentSpec(key=key, scheme=scheme, **kwargs)
+
+def small_spec(key="shard", scheme="GPU-Sync", overrides=None):
+    """A :data:`SMALL` shard; ``overrides`` are dotted config paths."""
+    cfg = SMALL.with_overrides({"scheme.name": scheme, **(overrides or {})})
+    return ExperimentSpec.from_config("test", key, cfg)
 
 
 # -- ExperimentSpec ------------------------------------------------------------
 
 
 def test_spec_dict_round_trip():
-    spec = small_spec(config={"threshold_bytes": 1024, "name": "X"})
+    spec = small_spec(overrides={"scheme.fusion.threshold_bytes": 1024, "scheme.label": "X"})
     clone = ExperimentSpec.from_dict(spec.to_dict())
     assert clone == spec
     # to_dict is JSON-safe and stable
@@ -52,14 +55,16 @@ def test_spec_dict_round_trip():
 
 
 def test_spec_pickle_round_trip():
-    spec = small_spec(config={"threshold_bytes": 2048})
+    spec = small_spec(overrides={"scheme.fusion.threshold_bytes": 2048})
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec
     assert clone.cache_key("s") == spec.cache_key("s")
 
 
 def test_spec_from_entry_inverts_run_entry():
-    spec = small_spec(scheme="Proposed", config={"threshold_bytes": 512 * 1024})
+    spec = small_spec(
+        scheme="Proposed", overrides={"scheme.fusion.threshold_bytes": 512 * 1024}
+    )
     entry = spec.run_entry()
     rebuilt = ExperimentSpec.from_entry("test", entry)
     assert rebuilt == spec
@@ -85,7 +90,7 @@ def test_table_spec_rejects_run_result():
 
 def test_scheme_factory_unknown_scheme_raises():
     with pytest.raises(KeyError, match="registry"):
-        scheme_factory_for("NoSuchScheme", {})
+        make_scheme_factory(SchemeCfg(name="NoSuchScheme"))
 
 
 # -- cache keys ----------------------------------------------------------------
@@ -94,9 +99,9 @@ def test_scheme_factory_unknown_scheme_raises():
 def test_cache_key_is_stable_and_spec_sensitive():
     spec = small_spec()
     assert spec.cache_key("salt") == spec.cache_key("salt")
-    assert small_spec(dim=3).cache_key("salt") != spec.cache_key("salt")
+    assert small_spec(overrides={"workload.dim": 3}).cache_key("salt") != spec.cache_key("salt")
     assert (
-        small_spec(config={"threshold_bytes": 1}).cache_key("salt")
+        small_spec(overrides={"scheme.fusion.threshold_bytes": 1}).cache_key("salt")
         != spec.cache_key("salt")
     )
 
@@ -141,7 +146,7 @@ def test_cache_spec_mismatch_is_a_miss(tmp_path):
     # spec (say, a hand-edited or colliding entry) must not be served.
     cache = ResultCache(tmp_path)
     spec = small_spec()
-    other = small_spec(dim=3)
+    other = small_spec(overrides={"workload.dim": 3})
     digest = spec.cache_key("s")
     cache.put(other, digest, {"key": other.key})
     assert cache.get(spec, digest) is None
@@ -152,9 +157,9 @@ def test_cache_spec_mismatch_is_a_miss(tmp_path):
 
 GRID = [
     small_spec("GPU-Sync/n=1", "GPU-Sync"),
-    small_spec("GPU-Sync/n=2", "GPU-Sync", nbuffers=2),
+    small_spec("GPU-Sync/n=2", "GPU-Sync", overrides={"workload.nbuffers": 2}),
     small_spec("Proposed/n=1", "Proposed"),
-    small_spec("Proposed/n=2", "Proposed", nbuffers=2),
+    small_spec("Proposed/n=2", "Proposed", overrides={"workload.nbuffers": 2}),
 ]
 
 
@@ -186,8 +191,10 @@ def test_salt_change_invalidates_cache(tmp_path):
 
 def test_spec_change_invalidates_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    run_sweep([small_spec("k", nbuffers=1)], cache=cache, salt="v1")
-    changed = run_sweep([small_spec("k", nbuffers=2)], cache=cache, salt="v1")
+    run_sweep([small_spec("k")], cache=cache, salt="v1")
+    changed = run_sweep(
+        [small_spec("k", overrides={"workload.nbuffers": 2})], cache=cache, salt="v1"
+    )
     assert changed.stats.ran == 1 and changed.stats.hits == 0
 
 
@@ -209,7 +216,9 @@ def test_in_process_failure_surfaces_too():
 
 def test_duplicate_keys_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        run_sweep([small_spec("same"), small_spec("same", nbuffers=2)])
+        run_sweep(
+            [small_spec("same"), small_spec("same", overrides={"workload.nbuffers": 2})]
+        )
 
 
 def test_jobs_must_be_positive():

@@ -2,12 +2,22 @@
 
 import pytest
 
+from repro.bench import run_bulk_exchange
+from repro.config import ExperimentConfig, HarnessCfg, ProtocolCfg, SystemCfg, WorkloadCfg
 from repro.core import autotune_threshold, recommend_threshold
 from repro.gpu import TESLA_V100, TESLA_V100_PCIE
 from repro.net import LASSEN
 from repro.workloads import WORKLOADS
 
 KiB = 1024
+
+
+def _base(workload="specfem3D_cm", dim=1000, **sections):
+    return ExperimentConfig(
+        workload=WorkloadCfg(name=workload, dim=dim),
+        harness=HarnessCfg(iterations=2, warmup=1, data_plane=False),
+        **sections,
+    )
 
 
 def test_recommend_threshold_reasonable_band():
@@ -51,9 +61,8 @@ def test_recommend_threshold_rejects_empty_layout():
 
 
 def test_autotune_finds_interior_optimum():
-    spec = WORKLOADS["specfem3D_cm"](1000)
     result = autotune_threshold(
-        LASSEN, spec, candidates=(16 * KiB, 128 * KiB, 4096 * KiB), nbuffers=16
+        _base(), candidates=(16 * KiB, 128 * KiB, 4096 * KiB)
     )
     assert result.best_threshold == 128 * KiB
     assert result.best_latency == min(result.curve.values())
@@ -63,7 +72,24 @@ def test_autotune_finds_interior_optimum():
 
 def test_autotune_validation():
     with pytest.raises(ValueError):
-        autotune_threshold(LASSEN, WORKLOADS["MILC"](8), candidates=())
+        autotune_threshold(_base("MILC", 8), candidates=())
+
+
+def test_autotune_keeps_every_base_field():
+    """Each candidate runs the caller's whole config, not a rebuilt one:
+    system and protocol knobs survive into every point of the curve."""
+    base = _base(
+        dim=500, system=SystemCfg(name="ABCI"), protocol=ProtocolCfg(rendezvous="rget")
+    )
+    candidates = (64 * KiB, 256 * KiB)
+    result = autotune_threshold(base, candidates=candidates)
+    for threshold in candidates:
+        cfg = base.with_overrides({"scheme.fusion.threshold_bytes": threshold})
+        assert result.curve[threshold] == run_bulk_exchange(cfg).mean_latency
+    rput = autotune_threshold(
+        base.with_overrides({"protocol.rendezvous": "rput"}), candidates=candidates
+    )
+    assert rput.curve != result.curve
 
 
 def test_model_recommendation_close_to_empirical():
@@ -71,7 +97,7 @@ def test_model_recommendation_close_to_empirical():
     spec = WORKLOADS["specfem3D_cm"](2000)
     rec = recommend_threshold(LASSEN.gpu_arch, spec.datatype.flatten())
     result = autotune_threshold(
-        LASSEN, spec,
+        _base(dim=2000),
         candidates=(64 * KiB, 128 * KiB, 256 * KiB, 512 * KiB, 1024 * KiB),
     )
     # Within one sweep step (4x) of the empirical optimum.

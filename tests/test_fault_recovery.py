@@ -6,18 +6,25 @@ exchange.  The invariant throughout: faults cost time, never
 correctness.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bench import run_bulk_exchange
+from repro.config import (
+    ExperimentConfig,
+    FaultsCfg,
+    HarnessCfg,
+    ProtocolCfg,
+    SchemeCfg,
+    WorkloadCfg,
+)
 from repro.core import FusionPolicy, FusionScheduler
 from repro.datatypes import DataLayout
 from repro.net import Cluster, LASSEN, Link, LinkSpec
 from repro.schemes import SCHEME_REGISTRY
-from repro.sim import FAULT_PRESETS, FaultPlan, FaultSpec, Simulator, Trace
-from repro.workloads import WORKLOADS
-
-SPEC = WORKLOADS["specfem3D_cm"]
+from repro.sim import FaultPlan, FaultSpec, FaultStats, Simulator, Trace
 
 
 class ForcedFaults(FaultPlan):
@@ -148,12 +155,17 @@ def test_fault_free_transmit_unchanged():
 
 
 def _exchange(faults, *, protocol="rput", nbuffers=2, scheme="Proposed"):
-    return run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY[scheme], SPEC(200),
-        nbuffers=nbuffers, iterations=2, warmup=1,
-        eager_threshold=0, rendezvous_protocol=protocol,
-        faults=faults,
+    """Verified exchange under ``faults``: a :class:`FaultsCfg`, or a
+    live scripted :class:`ForcedFaults` plan."""
+    cfg = ExperimentConfig(
+        workload=WorkloadCfg(name="specfem3D_cm", dim=200, nbuffers=nbuffers),
+        scheme=SchemeCfg(name=scheme),
+        protocol=ProtocolCfg(rendezvous=protocol, eager_threshold=0),
+        harness=HarnessCfg(iterations=2, warmup=1),
     )
+    if isinstance(faults, FaultsCfg):
+        return run_bulk_exchange(dataclasses.replace(cfg, faults=faults))
+    return run_bulk_exchange(cfg, faults=faults)
 
 
 @pytest.mark.parametrize("protocol", ["rput", "rget"])
@@ -177,9 +189,9 @@ def test_cts_drop_recovered_by_duplicate_rts():
 
 def test_control_drops_under_preset_all_protocols():
     for protocol in ("rput", "rget"):
-        plan = FaultPlan(seed=11, spec=FaultSpec(control_drop=0.5))
+        plan = FaultsCfg(spec={"control_drop": 0.5}, seed=11)
         result = _exchange(plan, protocol=protocol, nbuffers=4)
-        assert plan.stats.control_drops > 0
+        assert result.recovery.injected["control_drops"] > 0
         assert result.recovery.rts_retransmits > 0
 
 
@@ -415,19 +427,21 @@ def test_ring_full_then_flush_and_reap_recovers(env):
 
 
 def test_recovery_report_aggregates_all_layers():
-    plan = FaultPlan(seed=3, spec=FAULT_PRESETS["heavy"])
-    result = _exchange(plan, nbuffers=4)
+    result = _exchange(FaultsCfg(preset="heavy", seed=3), nbuffers=4)
     rec = result.recovery
     assert rec is not None
-    assert rec.total_injected == plan.stats.total > 0
+    assert set(rec.injected) == set(FaultStats().as_dict())
+    assert rec.total_injected > 0
     assert rec.total_recoveries > 0
     assert "injected" in rec.describe()
 
 
 def test_no_recovery_report_without_faults():
     result = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["Proposed"], SPEC(100),
-        nbuffers=2, iterations=1, warmup=0, data_plane=False,
+        ExperimentConfig(
+            workload=WorkloadCfg(name="specfem3D_cm", dim=100, nbuffers=2),
+            harness=HarnessCfg(iterations=1, warmup=0, data_plane=False),
+        )
     )
     assert result.recovery is None
 
@@ -435,13 +449,13 @@ def test_no_recovery_report_without_faults():
 def test_inactive_plan_leaves_timeline_unchanged():
     """Attaching an all-zero plan arms the machinery but injects
     nothing — latencies must match the plan-free run exactly."""
-    kwargs = dict(nbuffers=3, iterations=2, warmup=1, data_plane=False)
-    clean = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["Proposed"], SPEC(100), **kwargs
+    clean_cfg = ExperimentConfig(
+        workload=WorkloadCfg(name="specfem3D_cm", dim=100, nbuffers=3),
+        harness=HarnessCfg(iterations=2, warmup=1, data_plane=False),
     )
+    clean = run_bulk_exchange(clean_cfg)
     armed = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["Proposed"], SPEC(100),
-        faults=FaultPlan(seed=1), **kwargs
+        dataclasses.replace(clean_cfg, faults=FaultsCfg(spec={}, seed=1))
     )
     assert armed.latencies == clean.latencies
     assert armed.recovery.total_recoveries == 0

@@ -2,18 +2,29 @@
 
 import pytest
 
+from repro.config import ExperimentConfig, HarnessCfg, ProtocolCfg, SchemeCfg, WorkloadCfg
 from repro.datatypes import DOUBLE, Vector
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Category, Simulator
-from repro.workloads import WORKLOADS
 
 
-def _runtime(**kwargs):
+def _runtime(**protocol):
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=2)
-    return sim, Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"], **kwargs)
+    return sim, Runtime(
+        sim, cluster, SCHEME_REGISTRY["GPU-Sync"], protocol=ProtocolCfg(**protocol)
+    )
+
+
+def _exchange_cfg(workload, dim, nbuffers, iterations, **protocol):
+    return ExperimentConfig(
+        workload=WorkloadCfg(name=workload, dim=dim, nbuffers=nbuffers),
+        scheme=SchemeCfg(name="GPU-Sync"),
+        protocol=ProtocolCfg(**protocol),
+        harness=HarnessCfg(iterations=iterations, warmup=1, data_plane=False),
+    )
 
 
 def _drive(sim, gen):
@@ -85,14 +96,9 @@ def test_end_to_end_cache_effect_on_sparse_exchange():
     shows up in the SCHED bucket (flatten charges)."""
     from repro.bench import run_bulk_exchange
 
-    spec = WORKLOADS["specfem3D_cm"](2000)
-    on = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=8,
-        iterations=2, warmup=1, data_plane=False,
-    )
+    on = run_bulk_exchange(_exchange_cfg("specfem3D_cm", 2000, 8, 2))
     off = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=8,
-        iterations=2, warmup=1, data_plane=False, layout_cache_enabled=False,
+        _exchange_cfg("specfem3D_cm", 2000, 8, 2, layout_cache_enabled=False)
     )
     assert off.mean_latency > on.mean_latency * 1.05
     assert off.breakdown[Category.SCHED] > on.breakdown[Category.SCHED]
@@ -103,9 +109,5 @@ def test_warmup_absorbs_the_one_time_flatten():
     post-warm-up latencies are iteration-identical."""
     from repro.bench import run_bulk_exchange
 
-    spec = WORKLOADS["MILC"](16)
-    r = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=4,
-        iterations=3, warmup=1, data_plane=False,
-    )
+    r = run_bulk_exchange(_exchange_cfg("MILC", 16, 4, 3))
     assert max(r.latencies) - min(r.latencies) < 1e-9

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ProtocolCfg
 from repro.datatypes import DOUBLE, Vector
 from repro.mpi import PIPELINE, RPUT, Runtime
 from repro.net import Cluster, LASSEN
@@ -12,10 +13,12 @@ from repro.sim import Simulator
 BIG = Vector(64 * 1024, 1, 2, DOUBLE)  # 512 KB payload
 
 
-def _one_way(system=LASSEN, dt=None, **rt_kwargs):
+def _one_way(system=LASSEN, dt=None, **protocol):
     sim = Simulator()
     cluster = Cluster(sim, system, nodes=2)
-    rt = Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"], **rt_kwargs)
+    rt = Runtime(
+        sim, cluster, SCHEME_REGISTRY["GPU-Sync"], protocol=ProtocolCfg(**protocol)
+    )
     dt = dt if dt is not None else Vector(64 * 1024, 1, 2, DOUBLE).commit()
     lay = rt.rank(0).resolve_layout(dt, 1)
     hi = int(lay.offsets[-1] + lay.lengths[-1])
@@ -90,4 +93,7 @@ def test_pipeline_chunk_validation():
     sim = Simulator()
     cluster = Cluster(sim, LASSEN, nodes=2)
     with pytest.raises(ValueError):
-        Runtime(sim, cluster, SCHEME_REGISTRY["GPU-Sync"], pipeline_chunk_bytes=0)
+        Runtime(
+            sim, cluster, SCHEME_REGISTRY["GPU-Sync"],
+            protocol=ProtocolCfg(pipeline_chunk_bytes=0),
+        )

@@ -3,28 +3,19 @@
 import pytest
 
 from repro.bench import run_bulk_exchange
-from repro.net import SYSTEMS
+from repro.config import ExperimentConfig, FaultsCfg, HarnessCfg, SchemeCfg, WorkloadCfg
 from repro.obs import NULL_OBSERVER, METRIC_CATALOG, NullObserver, Observer
-from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Simulator
-from repro.sim.faults import FAULT_PRESETS, FaultPlan
-from repro.workloads import WORKLOADS
-
-RUN = {"nbuffers": 4, "iterations": 2, "warmup": 1, "data_plane": False}
 
 
-def _run(scheme="Proposed", obs=None, faults=None, data_plane=None, **kw):
-    params = dict(RUN, **kw)
-    if data_plane is not None:
-        params["data_plane"] = data_plane
-    return run_bulk_exchange(
-        SYSTEMS["Lassen"],
-        SCHEME_REGISTRY[scheme],
-        WORKLOADS["specfem3D_cm"](200),
-        obs=obs,
+def _run(scheme="Proposed", obs=None, faults=FaultsCfg(), data_plane=False, iterations=2):
+    cfg = ExperimentConfig(
+        workload=WorkloadCfg(name="specfem3D_cm", dim=200, nbuffers=4),
+        scheme=SchemeCfg(name=scheme),
         faults=faults,
-        **params,
+        harness=HarnessCfg(iterations=iterations, warmup=1, data_plane=data_plane),
     )
+    return run_bulk_exchange(cfg, obs=obs)
 
 
 # -- disabled telemetry is a strict no-op -----------------------------------
@@ -57,10 +48,9 @@ def test_enabling_telemetry_does_not_change_simulated_time(scheme):
 
 
 def test_telemetry_is_timing_neutral_under_faults():
-    def plan():
-        return FaultPlan(seed=7, spec=FAULT_PRESETS["moderate"])
-    default = _run(faults=plan(), data_plane=True)   # internal observer
-    recorded = _run(faults=plan(), data_plane=True, obs=Observer())
+    plan = FaultsCfg(preset="moderate", seed=7)
+    default = _run(faults=plan, data_plane=True)   # internal observer
+    recorded = _run(faults=plan, data_plane=True, obs=Observer())
     assert recorded.latencies == default.latencies
 
 
@@ -114,7 +104,7 @@ def test_const_labels_tag_every_series():
 
 
 def test_recovery_report_is_built_from_the_metrics_snapshot():
-    plan = FaultPlan(seed=11, spec=FAULT_PRESETS["heavy"])
+    plan = FaultsCfg(preset="heavy", seed=11)
     result = _run(faults=plan, data_plane=True, iterations=3)
     rec, snap = result.recovery, result.metrics
     assert rec is not None and snap is not None
@@ -133,7 +123,7 @@ def test_recovery_report_is_built_from_the_metrics_snapshot():
 
 
 def test_fault_runs_always_carry_metrics():
-    plan = FaultPlan(seed=3, spec=FAULT_PRESETS["light"])
+    plan = FaultsCfg(preset="light", seed=3)
     result = _run(faults=plan, data_plane=True)
     assert result.metrics is not None
     assert result.recovery is not None

@@ -6,10 +6,9 @@ import pytest
 
 from repro.bench import run_bulk_exchange
 from repro.cli import main
-from repro.net import SYSTEMS
+from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, WorkloadCfg
 from repro.obs import experiment_artifact, result_entry, write_bench_artifact
 from repro.obs import regress
-from repro.workloads import WORKLOADS
 
 RUN = {
     "iterations": 2, "warmup": 1, "data_plane": False,
@@ -20,20 +19,19 @@ RUN = {
 @pytest.fixture(scope="module")
 def baseline():
     """A small two-entry artifact measured fresh in this process."""
-    from repro.schemes import SCHEME_REGISTRY
-
     entries = []
     for scheme, config in (("GPU-Sync", None), ("Proposed", {"threshold_bytes": 512 * 1024})):
-        result = run_bulk_exchange(
-            SYSTEMS["Lassen"],
-            SCHEME_REGISTRY[scheme],
-            WORKLOADS["specfem3D_cm"](200),
-            nbuffers=4,
-            iterations=RUN["iterations"],
-            warmup=RUN["warmup"],
-            data_plane=RUN["data_plane"],
-            seed=RUN["seed"],
+        cfg = ExperimentConfig(
+            workload=WorkloadCfg(name="specfem3D_cm", dim=200, nbuffers=4),
+            scheme=SchemeCfg.from_overrides(scheme, config or {}),
+            harness=HarnessCfg(
+                iterations=RUN["iterations"],
+                warmup=RUN["warmup"],
+                data_plane=RUN["data_plane"],
+                seed=RUN["seed"],
+            ),
         )
+        result = run_bulk_exchange(cfg)
         entries.append(result_entry(result, key=scheme, config=config, run=RUN))
     return experiment_artifact("unit_regress", entries, meta={"seed": 42})
 

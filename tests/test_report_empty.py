@@ -7,20 +7,16 @@ from repro.bench.report import (
     format_speedup_table,
     speedup_matrix,
 )
-from repro.net import SYSTEMS
-from repro.schemes import SCHEME_REGISTRY
-from repro.workloads import WORKLOADS
+from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, WorkloadCfg
 
 
 def _result():
     return run_bulk_exchange(
-        SYSTEMS["Lassen"],
-        SCHEME_REGISTRY["GPU-Sync"],
-        WORKLOADS["specfem3D_cm"](100),
-        nbuffers=2,
-        iterations=1,
-        warmup=0,
-        data_plane=False,
+        ExperimentConfig(
+            workload=WorkloadCfg(name="specfem3D_cm", dim=100, nbuffers=2),
+            scheme=SchemeCfg(name="GPU-Sync"),
+            harness=HarnessCfg(iterations=1, warmup=0, data_plane=False),
+        )
     )
 
 

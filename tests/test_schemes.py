@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import FusionCfg, SchemeCfg
 from repro.core import FusionPolicy, KernelFusionScheme
 from repro.datatypes import DataLayout
 from repro.net import Cluster, LASSEN
@@ -343,7 +344,7 @@ def test_registry_contains_all_schemes():
 
 def test_make_scheme_factory_with_overrides(env):
     _sim, site = env
-    factory = make_scheme_factory("GPU-Async", num_streams=2)
+    factory = make_scheme_factory(SchemeCfg(name="GPU-Async", options={"num_streams": 2}))
     scheme = factory(site, Trace())
     assert len(scheme.streams) == 2
 
@@ -355,7 +356,7 @@ def test_make_scheme_factory_fusion_override_builds_fusion_scheme(env):
     from repro.core.framework import KernelFusionScheme
 
     _sim, site = env
-    factory = make_scheme_factory("Proposed", capacity=4)
+    factory = make_scheme_factory(SchemeCfg(fusion=FusionCfg(capacity=4)))
     scheme = factory(site, Trace())
     assert isinstance(scheme, KernelFusionScheme)
     assert scheme.scheduler.request_list.capacity == 4
@@ -364,12 +365,14 @@ def test_make_scheme_factory_fusion_override_builds_fusion_scheme(env):
 def test_make_scheme_factory_rejects_alias_overrides():
     # Eager rejection, at factory-build time — not at first call.
     with pytest.raises(ValueError, match="aliased scheme 'SpectrumMPI'"):
-        make_scheme_factory("SpectrumMPI", per_copy_factor=0.5)
+        make_scheme_factory(
+            SchemeCfg(name="SpectrumMPI", options={"per_copy_factor": 0.5})
+        )
 
 
 def test_make_scheme_factory_rejects_unknown_option():
     with pytest.raises(ValueError, match="'num_streamz' for scheme 'GPU-Async'"):
-        make_scheme_factory("GPU-Async", num_streamz=2)
+        make_scheme_factory(SchemeCfg(name="GPU-Async", options={"num_streamz": 2}))
 
 
 def test_capabilities_table1_rows():

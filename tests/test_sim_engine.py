@@ -200,7 +200,7 @@ def test_same_time_events_fire_fifo():
     order = []
     for i in range(10):
         t = sim.timeout(1.0)
-        t.callbacks.append(lambda _ev, i=i: order.append(i))
+        t.add_callback(lambda _ev, i=i: order.append(i))
     sim.run()
     assert order == list(range(10))
 
@@ -267,8 +267,8 @@ def test_condition_propagates_failure():
 def test_run_until_time():
     sim = Simulator()
     fired = []
-    sim.timeout(1.0).callbacks.append(lambda _: fired.append(1))
-    sim.timeout(10.0).callbacks.append(lambda _: fired.append(10))
+    sim.timeout(1.0).add_callback(lambda _: fired.append(1))
+    sim.timeout(10.0).add_callback(lambda _: fired.append(10))
     sim.run(until=5.0)
     assert fired == [1]
     assert sim.now == pytest.approx(5.0)

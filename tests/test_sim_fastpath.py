@@ -12,13 +12,11 @@ byte-compares the artifacts.
 import pytest
 
 from repro.bench import run_bulk_exchange
+from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, WorkloadCfg
 from repro.gpu.device import GPUDevice
-from repro.net import SYSTEMS
 from repro.net.link import Link, LinkSpec
-from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Interrupt, Simulator
 from repro.sim.engine import fastpath_enabled, set_fastpath
-from repro.workloads import WORKLOADS
 
 
 @pytest.fixture(params=[True, False], ids=["fast", "generic"])
@@ -182,12 +180,11 @@ def test_stream_apply_runs_at_completion(fastpath):
 def test_bulk_exchange_equivalence(scheme):
     def run():
         result = run_bulk_exchange(
-            SYSTEMS["Lassen"],
-            SCHEME_REGISTRY[scheme],
-            WORKLOADS["specfem3D_cm"](500),
-            nbuffers=4,
-            iterations=2,
-            warmup=1,
+            ExperimentConfig(
+                workload=WorkloadCfg(name="specfem3D_cm", dim=500, nbuffers=4),
+                scheme=SchemeCfg(name=scheme),
+                harness=HarnessCfg(iterations=2, warmup=1),
+            )
         )
         return (
             result.latencies,

@@ -1,14 +1,14 @@
 """Tests for the optional execution-noise model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bench import run_bulk_exchange
-from repro.net import LASSEN
-from repro.schemes import SCHEME_REGISTRY
+from repro.config import ExperimentConfig, HarnessCfg, NoiseCfg, SchemeCfg, WorkloadCfg
 from repro.sim import NoiseModel, Simulator, us
 from repro.gpu import GPUDevice, TESLA_V100
-from repro.workloads import WORKLOADS
 
 
 def test_unit_mean_and_spread():
@@ -62,29 +62,15 @@ def test_noisy_exchange_varies_but_averages_close():
     """With noise on, iterations differ (unlike the deterministic
     default) but the mean stays near the noise-free latency — the
     paper's 500-iteration averaging, demonstrated."""
-    import repro.bench.runner as runner_mod
-    from repro.mpi import Runtime as RealRuntime
-
-    spec = WORKLOADS["NAS_MG"](64)
-    clean = run_bulk_exchange(
-        LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=4,
-        iterations=4, warmup=1, data_plane=False,
+    clean_cfg = ExperimentConfig(
+        workload=WorkloadCfg(name="NAS_MG", dim=64, nbuffers=4),
+        scheme=SchemeCfg(name="GPU-Sync"),
+        harness=HarnessCfg(iterations=4, warmup=1, data_plane=False),
     )
-
-    class NoisyRuntime(RealRuntime):
-        def __init__(self, sim, *args, **kwargs):
-            sim.noise = NoiseModel(seed=11, cv=0.05)
-            super().__init__(sim, *args, **kwargs)
-
-    orig = runner_mod.Runtime
-    runner_mod.Runtime = NoisyRuntime
-    try:
-        noisy = run_bulk_exchange(
-            LASSEN, SCHEME_REGISTRY["GPU-Sync"], spec, nbuffers=4,
-            iterations=4, warmup=1, data_plane=False,
-        )
-    finally:
-        runner_mod.Runtime = orig
+    clean = run_bulk_exchange(clean_cfg)
+    noisy = run_bulk_exchange(
+        dataclasses.replace(clean_cfg, noise=NoiseCfg(cv=0.05, seed=11))
+    )
 
     assert max(noisy.latencies) - min(noisy.latencies) > 1e-9  # varies
     assert noisy.mean_latency == pytest.approx(clean.mean_latency, rel=0.15)

@@ -17,7 +17,7 @@ def test_events_fire_in_nondecreasing_time(delays):
     sim = Simulator()
     fired = []
     for d in delays:
-        sim.timeout(d).callbacks.append(lambda _ev, d=d: fired.append(sim.now))
+        sim.timeout(d).add_callback(lambda _ev, d=d: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -34,7 +34,7 @@ def test_same_time_fifo_by_creation_order(count_groups):
         for i in range(n):
             label = (group, i)
             expected.append(label)
-            sim.timeout(1.0).callbacks.append(lambda _ev, lab=label: order.append(lab))
+            sim.timeout(1.0).add_callback(lambda _ev, lab=label: order.append(lab))
     sim.run()
     assert order == expected
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Recorder
 from repro.sim import Category, Trace, render_timeline
 
 
@@ -63,40 +64,42 @@ def test_header_shows_bounds():
     assert "0.0us" in header and "100.0us" in header
 
 
-# -- Chrome trace export -------------------------------------------------------
+# -- Chrome trace export (through the obs recorder) ---------------------------
+
+
+def _recorded(*tracks):
+    rec = Recorder()
+    for track in tracks:
+        rec.absorb_trace(track, _trace())
+    return rec
 
 
 def test_chrome_trace_events_structure():
-    from repro.sim import chrome_trace_events
-
-    events = chrome_trace_events({"rank0": _trace()})
-    span_events = [e for e in events if e.get("ph") == "X"]
-    assert len(span_events) == 3
-    launch = next(e for e in span_events if e["cat"] == "launch")
+    events = _recorded("rank0", "rank1").chrome_trace_events()
+    # one process row per track, one thread row per charged category
+    procs = [e for e in events if e["name"] == "process_name"]
+    assert [(e["pid"], e["args"]["name"]) for e in procs] == [(0, "rank0"), (1, "rank1")]
+    threads = {(e["pid"], e["args"]["name"]) for e in events if e["name"] == "thread_name"}
+    assert threads == {(pid, cat) for pid in (0, 1) for cat in ("launch", "pack", "comm")}
+    # span times are microseconds
+    launch = next(e for e in events if e.get("cat") == "launch" and e["pid"] == 0)
     assert launch["ts"] == pytest.approx(0.0)
-    assert launch["dur"] == pytest.approx(10.0)  # µs
-    # Metadata rows name the process and the category lanes.
-    meta = [e for e in events if e["ph"] == "M"]
-    assert any(e["args"]["name"] == "rank0" for e in meta)
+    assert launch["dur"] == pytest.approx(10.0)
+    comm = next(e for e in events if e.get("cat") == "comm" and e["pid"] == 0)
+    assert comm["ts"] == pytest.approx(30.0)
+    assert comm["dur"] == pytest.approx(70.0)
 
 
 def test_export_chrome_trace_file(tmp_path):
     import json
 
-    from repro.sim import export_chrome_trace
-
     path = tmp_path / "t.json"
-    count = export_chrome_trace(_trace(), str(path))
+    count = _recorded("rank0").export_chrome_trace(str(path))
     assert count == 3
     loaded = json.loads(path.read_text())
-    assert "traceEvents" in loaded
     assert len([e for e in loaded["traceEvents"] if e.get("ph") == "X"]) == 3
 
 
 def test_export_multiple_ranks(tmp_path):
-    from repro.sim import export_chrome_trace
-
-    count = export_chrome_trace(
-        {"r0": _trace(), "r1": _trace()}, str(tmp_path / "two.json")
-    )
+    count = _recorded("r0", "r1").export_chrome_trace(str(tmp_path / "two.json"))
     assert count == 6
