@@ -352,6 +352,14 @@ def run_bulk_exchange(
                         f"data corruption: {result.scheme} on {spec.name} "
                         f"(rank {me}, {spec.summary()})"
                     )
+    # Hand every device byte back: the user buffers, then each rank's
+    # idle staging buffers.  Reference cycles keep a finished run alive
+    # until a full garbage collection; its memory need not wait for one.
+    for bufs in (*send_bufs.values(), *recv_bufs.values()):
+        for buf in bufs:
+            buf.free()
+    for r in ranks:
+        r.staging_pool.trim()
 
     # Per-category totals: average over ranks, then per iteration.
     per_rank = [r.trace.breakdown() for r in ranks]

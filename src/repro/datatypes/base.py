@@ -32,14 +32,17 @@ class Datatype(ABC):
     """Abstract MPI-like datatype.
 
     Subclasses implement :meth:`_flatten` (one instance, displacements
-    relative to the instance base address) and :meth:`signature`.
+    relative to the instance base address) and :meth:`_signature`.
+    A type's structure never changes after construction, so both are
+    computed once and stored.
     """
 
-    __slots__ = ("_committed", "_flat")
+    __slots__ = ("_committed", "_flat", "_sig")
 
     def __init__(self) -> None:
         self._committed = False
         self._flat: Optional[DataLayout] = None
+        self._sig: Optional[Tuple[Hashable, ...]] = None
 
     # -- metrics -------------------------------------------------------------
     @property
@@ -52,9 +55,21 @@ class Datatype(ABC):
     def extent(self) -> int:
         """Stride in bytes between consecutive instances."""
 
-    @abstractmethod
     def signature(self) -> Tuple[Hashable, ...]:
-        """Hashable structural identity (the layout-cache key)."""
+        """Hashable structural identity (the layout-cache key).
+
+        Computed on first use and stored: every message keys its layout
+        lookup on it, and the stored tuple's ``bytes`` members keep their
+        hash after the first lookup.
+        """
+        sig = self._sig
+        if sig is None:
+            sig = self._sig = self._signature()
+        return sig
+
+    @abstractmethod
+    def _signature(self) -> Tuple[Hashable, ...]:
+        """Compute :meth:`signature` (called once per object)."""
 
     @abstractmethod
     def _flatten(self) -> DataLayout:

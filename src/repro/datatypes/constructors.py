@@ -77,7 +77,7 @@ class _Derived(Datatype):
     """Shared plumbing for derived constructors.
 
     Subclasses set ``_size``/``_extent`` in ``__init__`` and implement
-    ``_flatten``/``signature``.
+    ``_flatten``/``_signature``.
     """
 
     __slots__ = ("_size", "_extent")
@@ -108,7 +108,7 @@ class Contiguous(_Derived):
         self.count = count
         self.base = base
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return ("contig", self.count, self.base.signature())
 
     def _flatten(self) -> DataLayout:
@@ -133,7 +133,7 @@ class Vector(_Derived):
         self.stride = stride
         self.base = base
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return ("vector", self.count, self.blocklength, self.stride, self.base.signature())
 
     def _flatten(self) -> DataLayout:
@@ -165,7 +165,7 @@ class Hvector(_Derived):
         self.stride_bytes = stride_bytes
         self.base = base
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return (
             "hvector",
             self.count,
@@ -211,7 +211,7 @@ class Indexed(_Derived):
         self.displacements = dp
         self.base = base
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return (
             "indexed",
             self.blocklengths.tobytes(),
@@ -260,7 +260,7 @@ class HIndexed(Indexed):
 
     __slots__ = ()
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return (
             "hindexed",
             self.blocklengths.tobytes(),
@@ -304,7 +304,7 @@ class IndexedBlock(Indexed):
         dp = np.asarray(displacements, dtype=np.int64)
         super().__init__(np.full(len(dp), blocklength, dtype=np.int64), dp, base)
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         blen = int(self.blocklengths[0]) if len(self.blocklengths) else 0
         return ("indexed_block", blen, self.displacements.tobytes(), self.base.signature())
 
@@ -331,7 +331,7 @@ class Struct(_Derived):
         self.displacements = tuple(int(d) for d in displacements)
         self.types = tuple(types)
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return (
             "struct",
             self.blocklengths,
@@ -403,7 +403,7 @@ class Subarray(_Derived):
         self.order = order
         self.base = base
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return (
             "subarray",
             self.sizes,
@@ -468,7 +468,7 @@ class Resized(_Derived):
         self.base = base
         self.lb = int(lb)
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return ("resized", self.lb, self._extent, self.base.signature())
 
     def _flatten(self) -> DataLayout:

@@ -59,7 +59,7 @@ class Primitive(Datatype):
     def extent(self) -> int:
         return self.nbytes
 
-    def signature(self) -> Tuple[Hashable, ...]:
+    def _signature(self) -> Tuple[Hashable, ...]:
         return ("prim", self.name, self.nbytes)
 
     def _flatten(self) -> DataLayout:

@@ -89,7 +89,9 @@ class GPUBuffer:
         return self.data.view(dtype)
 
     def free(self) -> None:
-        """Return the bytes to the owning allocator (if any)."""
+        """Return the bytes to the owning allocator (if any) and drop the
+        backing store.  A second call does nothing."""
+        self._data = None
         if self.owner is not None:
             self.owner._release(self)
             self.owner = None

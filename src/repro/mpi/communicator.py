@@ -278,6 +278,59 @@ _SENDER_PROCS = {
 }
 
 
+class _Wake(Event):
+    """One sleep of a progress wait.
+
+    Fires on the first completion of a watched event or on its own poll
+    timeout, whichever is processed first; a poll timeout left over from
+    an earlier sleep holds a different ``_Wake`` and cannot fire this one.
+    """
+
+    __slots__ = ()
+
+    def poke(self, event: Event) -> None:
+        if not self._triggered:
+            if event._ok:
+                self.succeed()
+            else:
+                self.fail(event._value)
+
+
+class _CompletionWatch:
+    """Completion count of one progress wait, plus its current sleep.
+
+    Counts the events already processed and subscribes one callback to
+    each of the others, so a wake never rescans the set.  The callback
+    wakes the current sleep from inside the event's callback processing,
+    so a sleep fires exactly when an ``any_of`` over the pending events
+    and its poll timeout would.
+    """
+
+    __slots__ = ("completed", "_wake")
+
+    def __init__(self, events: Iterable[Event]):
+        self.completed = 0
+        self._wake: Optional[_Wake] = None
+        on_complete = self._on_complete
+        for event in events:
+            if event.processed:
+                self.completed += 1
+            else:
+                event.add_callback(on_complete)
+
+    def _on_complete(self, event: Event) -> None:
+        self.completed += 1
+        if self._wake is not None:
+            self._wake.poke(event)
+
+    def sleep(self, sim: Simulator, poll_interval: float) -> _Wake:
+        """A fresh event firing on the next completion or after
+        ``poll_interval``."""
+        wake = self._wake = _Wake(sim)
+        sim.timeout(poll_interval).add_callback(wake.poke)
+        return wake
+
+
 class Rank:
     """One MPI process: the user-facing communication API."""
 
@@ -476,15 +529,20 @@ class Rank:
         return rreq
 
     # -- completion --------------------------------------------------------------
-    def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
-        """Block until all requests complete (``MPI_Waitall``).
+    def progress_wait(
+        self, events: Sequence[Event], needed: int
+    ) -> Generator[Event, None, None]:
+        """Drive the progress engine until ``needed`` of ``events`` completed.
 
-        Each progress iteration first gives the scheme its sync-point
-        flush (§IV-C scenario 1: "the communication progress engine has
-        no more operations to request"), then sleeps until a request
-        completes or the poll interval elapses.
+        The loop behind ``waitall``/``waitany`` and the RMA fence.  Each
+        iteration first gives the scheme its sync-point flush (§IV-C
+        scenario 1: "the communication progress engine has no more
+        operations to request"), then sleeps until an event completes or
+        the poll interval elapses.  The events are subscribed once, after
+        the first flush; every later wake costs the same however many
+        events the call watches.
         """
-        reqs = list(requests)
+        watch: Optional[_CompletionWatch] = None
         while True:
             yield self.cpu.request()
             try:
@@ -492,36 +550,31 @@ class Rank:
                 yield from self.scheme.progress_tick()
             finally:
                 self.cpu.release()
-            pending = [r for r in reqs if not r.done]
-            if not pending:
+            if watch is None:
+                watch = _CompletionWatch(events)
+            if watch.completed >= needed:
                 return
-            watch = [r.completion for r in pending]
-            watch.append(self.sim.timeout(self.runtime.poll_interval))
-            yield self.sim.any_of(watch)
+            yield watch.sleep(self.sim, self.runtime.poll_interval)
+
+    def waitall(self, requests: Iterable[Request]) -> Generator[Event, None, None]:
+        """Block until all requests complete (``MPI_Waitall``)."""
+        pending = [r.completion for r in requests if not r.done]
+        yield from self.progress_wait(pending, len(pending))
 
     def wait(self, request: Request) -> Generator[Event, None, None]:
         """Block until one request completes (``MPI_Wait``)."""
         yield from self.waitall([request])
 
     def waitany(self, requests: Sequence[Request]) -> Generator[Event, None, int]:
-        """Block until *some* request completes; returns its index
-        (``MPI_Waitany``).  Progress semantics match :meth:`waitall`."""
+        """Block until *some* request completes; returns the lowest such
+        index (``MPI_Waitany``).  Progress semantics match :meth:`waitall`."""
         reqs = list(requests)
         if not reqs:
             raise ValueError("waitany requires at least one request")
-        while True:
-            yield self.cpu.request()
-            try:
-                yield from self.scheme.flush()
-                yield from self.scheme.progress_tick()
-            finally:
-                self.cpu.release()
-            for index, req in enumerate(reqs):
-                if req.done:
-                    return index
-            watch = [r.completion for r in reqs]
-            watch.append(self.sim.timeout(self.runtime.poll_interval))
-            yield self.sim.any_of(watch)
+        pending = [r.completion for r in reqs if not r.done]
+        # with one already complete, a single progress pass and no sleep
+        yield from self.progress_wait(pending, 1 if len(pending) == len(reqs) else 0)
+        return next(index for index, req in enumerate(reqs) if req.done)
 
     def waitsome(self, requests: Sequence[Request]) -> Generator[Event, None, List[int]]:
         """Block until at least one request completes; returns the

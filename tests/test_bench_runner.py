@@ -10,7 +10,16 @@ from repro.bench import (
     run_bulk_exchange,
     speedup_matrix,
 )
-from repro.config import ExperimentConfig, HarnessCfg, SchemeCfg, WorkloadCfg
+from repro.bench import runner
+from repro.config import (
+    ExperimentConfig,
+    FaultsCfg,
+    HarnessCfg,
+    ProtocolCfg,
+    SchemeCfg,
+    WorkloadCfg,
+)
+from repro.schemes import SCHEME_REGISTRY
 from repro.sim import Category
 
 
@@ -144,3 +153,33 @@ def test_speedup_matrix_and_table():
     assert m["ref"][32] == pytest.approx(1.0)
     text = format_speedup_table(grid, "ref", title="sp")
     assert "4.00x" in text
+
+
+@pytest.mark.parametrize("faults", [None, "moderate"])
+@pytest.mark.parametrize("data_plane", [True, False], ids=["data-plane", "dry"])
+@pytest.mark.parametrize("scheme", sorted(SCHEME_REGISTRY))
+def test_run_leaks_no_device_memory(monkeypatch, scheme, data_plane, faults):
+    """Every device byte a run allocates (user buffers, barrier tokens,
+    staging) is back on the ledger when ``run_bulk_exchange`` returns."""
+    runtimes = []
+
+    class RecordingRuntime(runner.Runtime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    monkeypatch.setattr(runner, "Runtime", RecordingRuntime)
+    run_bulk_exchange(
+        ExperimentConfig(
+            workload=WorkloadCfg(name="specfem3D_cm", dim=200, nbuffers=4),
+            scheme=SchemeCfg(name=scheme),
+            protocol=ProtocolCfg(eager_threshold=0),
+            faults=FaultsCfg(preset=faults, seed=3),
+            harness=HarnessCfg(iterations=2, warmup=1, data_plane=data_plane),
+        )
+    )
+    (runtime,) = runtimes
+    for rank in runtime.ranks:
+        memory = rank.device.memory
+        assert memory.peak > 0
+        assert memory.allocated == 0

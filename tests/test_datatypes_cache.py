@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datatypes import DOUBLE, LayoutCache, Vector
+from repro.datatypes import DOUBLE, FLOAT, Indexed, LayoutCache, Struct, Vector
 
 
 def test_miss_then_hit():
@@ -82,3 +82,60 @@ def test_capacity_validation():
 
 def test_unused_cache_hit_rate_zero():
     assert LayoutCache().stats.hit_rate == 0.0
+
+
+# -- the stored signature ----------------------------------------------------------
+
+
+def _indexed():
+    return Indexed([2, 1, 3], [0, 7, 12], FLOAT)
+
+
+def _struct():
+    return Struct([1, 2], [0, 64], [_indexed(), DOUBLE])
+
+
+def test_signature_is_computed_once_per_object(monkeypatch):
+    calls = []
+    original = Indexed._signature
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Indexed, "_signature", counting)
+    t, twin = _indexed(), _indexed()
+    cache = LayoutCache()
+    for _ in range(3):
+        t.signature()
+        hash(t)
+        assert t == twin
+        cache.get_or_flatten(t)
+    assert calls == [t, twin]
+    # a struct composes its children's stored signatures
+    s = Struct([1], [0], [t])
+    s.signature()
+    assert calls == [t, twin]
+
+
+@pytest.mark.parametrize("build", [_indexed, _struct], ids=["Indexed", "Struct"])
+def test_structural_twins_share_one_cache_entry(build):
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a.signature() is not b.signature()  # stored per object
+    cache = LayoutCache()
+    lay = cache.get_or_flatten(a)
+    assert cache.get_or_flatten(b) is lay
+    assert len(cache) == 1
+    assert cache.stats.misses == 1 and cache.stats.hits == 1
+
+
+def test_different_displacements_stay_distinct():
+    a = Indexed([1, 1], [0, 2], FLOAT)
+    b = Indexed([1, 1], [0, 3], FLOAT)
+    assert a != b
+    cache = LayoutCache()
+    cache.get_or_flatten(a)
+    cache.get_or_flatten(b)
+    assert len(cache) == 2

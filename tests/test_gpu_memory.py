@@ -49,6 +49,16 @@ def test_double_free_harmless():
     assert mem.allocated == 0
 
 
+def test_free_drops_backing_store():
+    mem = DeviceMemory(100)
+    buf = mem.alloc(10, fill=7)
+    assert buf.data.sum() == 70
+    buf.free()
+    assert buf._data is None
+    buf.free()  # second call does nothing
+    assert mem.allocated == 0
+
+
 def test_peak_tracking():
     mem = DeviceMemory(100)
     a = mem.alloc(60)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ExperimentConfig, HarnessCfg, ProtocolCfg, SchemeCfg, WorkloadCfg
-from repro.datatypes import DOUBLE, Vector
+from repro.datatypes import DOUBLE, FLOAT, Indexed, Vector
 from repro.mpi import Runtime
 from repro.net import Cluster, LASSEN
 from repro.schemes import SCHEME_REGISTRY
@@ -67,6 +67,28 @@ def test_cache_disabled_charges_every_time():
     t1 = sim.now
     _drive(sim, rank.resolve_layout_timed(dt, 1))
     assert sim.now > t1
+
+
+def _flatten_charges(rank):
+    return [s for s in rank.trace.spans if s.label == "flatten"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["cache-on", "cache-off"])
+def test_flatten_charged_once_per_key_or_every_message(enabled):
+    """Structural twins and repeated messages hit one key: with the
+    cache on it is charged once per (signature, count); off, on every
+    message."""
+    sim, rt = _runtime(layout_cache_enabled=enabled)
+    rank = rt.rank(0)
+    messages = [
+        (Indexed([2, 1], [0, 5], FLOAT), 1),
+        (Indexed([2, 1], [0, 5], FLOAT), 1),  # twin: same key
+        (Indexed([2, 1], [0, 5], FLOAT), 2),  # new count: new key
+        (Indexed([2, 1], [0, 6], FLOAT), 1),  # new displacements
+    ]
+    for dt, count in messages * 2:
+        _drive(sim, rank.resolve_layout_timed(dt, count))
+    assert len(_flatten_charges(rank)) == (3 if enabled else 8)
 
 
 def test_raw_layout_never_charged():

@@ -15,6 +15,7 @@ from repro.datatypes.layout import DataLayout
 from repro.gpu.kernels import OpKind
 from repro.gpu.memory import GPUBuffer
 from repro.gpu.stream import CudaEvent, ExecutionEngine, Stream
+from repro.mpi.communicator import _CompletionWatch, _Wake
 from repro.net.link import Link, LinkSpec
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from repro.sim.resources import Channel, ChannelEnd, Resource, Store
@@ -52,6 +53,8 @@ def _instances():
         layout,
         ring,
         request,
+        _Wake(sim),
+        _CompletionWatch([]),
     ]
 
 
@@ -78,6 +81,7 @@ EXPECTED_SLOTTED = [
     Resource, Store, Channel, ChannelEnd,
     Link, ExecutionEngine, Stream, CudaEvent,
     GPUBuffer, DataLayout, CircularRequestList, FusionRequest,
+    _Wake, _CompletionWatch,
 ]
 
 
