@@ -37,6 +37,7 @@ import numpy as np
 
 from ..config import ExperimentConfig
 from ..datatypes.layout import DataLayout
+from ..datatypes.pack import pack_bytes, unpack_bytes
 from ..mpi.communicator import Runtime
 from ..net.topology import Cluster
 from ..obs.metrics import MetricsSnapshot
@@ -185,9 +186,10 @@ class ExperimentResult:
         return other.mean_latency / self.mean_latency
 
 
-def _fill_random(buffers, rng: np.random.Generator) -> None:
+def _fill_random(buffers, layout: DataLayout, rng: np.random.Generator) -> None:
+    """Write random payload bytes into each buffer; holes stay zero."""
     for buf in buffers:
-        buf.data[:] = rng.integers(0, 256, buf.nbytes, dtype=np.uint8)
+        unpack_bytes(rng.integers(0, 256, layout.size, dtype=np.uint8), layout, buf.data)
 
 
 def run_bulk_exchange(
@@ -323,7 +325,7 @@ def run_bulk_exchange(
         token.free()
 
     if data_plane:
-        _fill_random(send_bufs[0] + send_bufs[1], rng)
+        _fill_random(send_bufs[0] + send_bufs[1], layout, rng)
     else:
         verify = False
     procs = [
@@ -344,10 +346,11 @@ def run_bulk_exchange(
         )
 
     if verify:
-        idx = layout.gather_index()
         for me, peer in ((0, 1), (1, 0)):
             for sbuf, rbuf in zip(send_bufs[peer], recv_bufs[me]):
-                if not np.array_equal(rbuf.data[idx], sbuf.data[idx]):
+                if not np.array_equal(
+                    pack_bytes(rbuf.data, layout), pack_bytes(sbuf.data, layout)
+                ):
                     raise AssertionError(
                         f"data corruption: {result.scheme} on {spec.name} "
                         f"(rank {me}, {spec.summary()})"

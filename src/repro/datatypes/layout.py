@@ -9,9 +9,12 @@ Chu et al. [24], both of which this reproduction implements.
 :class:`DataLayout` stores the blocks as two NumPy ``int64`` vectors and
 provides:
 
-* vectorized *gather-index* construction (one flat index array that
-  pulls every payload byte out of the strided source in a single NumPy
-  fancy-indexing operation — this is our "GPU pack kernel" data plane),
+* the *pack plan* the data plane (:mod:`.pack`) moves bytes with.  A
+  layout whose blocks share one length and one stride has a *row form*
+  ``(first, block, stride, count)``, and its payload is the strided
+  ``(count, block)`` view :meth:`DataLayout.row_view`; any other layout
+  is *irregular* and is packed by one ``take`` through its flat
+  per-byte gather index,
 * replication across a ``count`` of datatype instances separated by the
   type extent,
 * coalescing of adjacent blocks (what a good flattener does to vector
@@ -19,10 +22,10 @@ provides:
 * the block-shape statistics (count, min/mean block size) that the GPU
   kernel cost model uses to price strided memory access.
 
-Layouts are immutable after construction; the gather index is built
-lazily and cached, which is exactly the economics of the paper's layout
-cache: flattening and index construction are paid once per committed
-datatype, not once per message.
+Layouts are immutable after construction; the row form and the gather
+index are computed lazily, once, which is the economics of the paper's
+layout cache: the layout is retrieved once per committed datatype, not
+once per message, and the data plane then moves only payload bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["DataLayout", "coalesce_blocks"]
 
@@ -84,17 +88,12 @@ class DataLayout:
         "lengths",
         "extent",
         "_gather_index",
-        "_shifted_index",
+        "_row",
         "_size",
         "_min_block",
         "_max_block",
         "_mean_block",
     )
-
-    #: cap on cached base-offset-shifted gather indexes per layout; a
-    #: layout is reused with a handful of offsets (per-rank windows), so
-    #: a tiny cache captures them all without unbounded growth
-    _SHIFT_CACHE_LIMIT = 16
 
     def __init__(
         self,
@@ -127,7 +126,7 @@ class DataLayout:
             extent = int(off[-1] + lng[-1] - min(0, int(off[0]))) if len(off) else 0
         self.extent = int(extent)
         self._gather_index: Optional[np.ndarray] = None
-        self._shifted_index: Optional[dict] = None
+        self._row: Optional[Tuple[int, ...]] = None
         self._size: Optional[int] = None
         self._min_block: Optional[int] = None
         self._max_block: Optional[int] = None
@@ -240,20 +239,63 @@ class DataLayout:
         )
 
     # -- the data plane -------------------------------------------------------
+    @property
+    def row_form(self) -> Optional[Tuple[int, int, int, int]]:
+        """``(first, block, stride, count)``, or None for an irregular layout.
+
+        A layout has a row form when all its blocks share one length and
+        consecutive blocks share one stride; a single block counts (its
+        stride is its length).  Computed once per layout.
+        """
+        row = self._row
+        if row is None:
+            row = self._row = self._compute_row_form()
+        return row or None  # () marks an irregular layout
+
+    def _compute_row_form(self) -> Tuple[int, ...]:
+        n = len(self.offsets)
+        if n == 0:
+            return ()
+        block = int(self.lengths[0])
+        if n == 1:
+            return (int(self.offsets[0]), block, block, 1)
+        steps = np.diff(self.offsets)
+        stride = int(steps[0])
+        if np.any(self.lengths != block) or np.any(steps != stride):
+            return ()
+        return (int(self.offsets[0]), block, stride, n)
+
+    def row_view(self, buffer: np.ndarray, base_offset: int = 0) -> np.ndarray:
+        """The payload of ``buffer`` as a writable ``(count, block)`` view.
+
+        Only for layouts with a :attr:`row_form`.  ``base_offset`` shifts
+        the layout within ``buffer``; the view must lie inside it.
+        """
+        row = self.row_form
+        if row is None:
+            raise ValueError("row_view needs a layout with a row form")
+        first, block, stride, count = row
+        lo = first + base_offset
+        hi = lo + (count - 1) * stride + block
+        if lo < 0 or hi > len(buffer):
+            raise IndexError(
+                f"layout [{lo}, {hi}) exceeds buffer of {len(buffer)} bytes"
+            )
+        span = buffer[lo:hi]
+        step = span.strides[0]
+        return as_strided(span, shape=(count, block), strides=(stride * step, step))
+
     def gather_index(self, base_offset: int = 0) -> np.ndarray:
-        """Flat ``int64`` byte-index array selecting every payload byte.
+        """Flat ``int64`` index of every payload byte, shifted by ``base_offset``.
 
         ``source[layout.gather_index()]`` *is* the pack operation and
         ``dest[layout.gather_index()] = packed`` the unpack operation.
-        Built once and cached (the layout-cache economics of [24]).
 
-        A nonzero ``base_offset`` shifts every index (``MPI_Pack``'s
-        buffer argument); shifted copies are cached per offset (up to
-        ``_SHIFT_CACHE_LIMIT`` distinct offsets) so repeated windowed
-        packs stop allocating a fresh index array per message.
-
-        The returned array is shared cache state — callers must treat
-        it as read-only.
+        The index counted from the layout's first payload byte is built
+        once and cached read-only; it is what the irregular pack path
+        applies to the buffer sliced at that byte, which is why
+        ``base_offset == -offsets[0]`` returns the cached array itself.
+        Any other offset returns a fresh shifted copy.
         """
         index = self._gather_index
         if index is None:
@@ -262,25 +304,17 @@ class DataLayout:
                 index = np.empty(0, dtype=np.int64)
             else:
                 # Vectorized expansion of blocks into per-byte indices:
-                # for block b: offsets[b] + (0 .. lengths[b]-1).
-                starts = np.repeat(self.offsets, self.lengths)
+                # for block b: offsets[b] - offsets[0] + (0 .. lengths[b]-1).
+                starts = np.repeat(self.offsets - self.offsets[0], self.lengths)
                 within = np.arange(total, dtype=np.int64)
                 block_base = np.repeat(
                     np.concatenate(([0], np.cumsum(self.lengths)[:-1])), self.lengths
                 )
                 index = starts + (within - block_base)
+            index.flags.writeable = False
             self._gather_index = index
-        if base_offset == 0:
-            return index
-        cache = self._shifted_index
-        if cache is None:
-            cache = self._shifted_index = {}
-        shifted = cache.get(base_offset)
-        if shifted is None:
-            shifted = index + base_offset
-            if len(cache) < self._SHIFT_CACHE_LIMIT:
-                cache[base_offset] = shifted
-        return shifted
+        shift = base_offset + (int(self.offsets[0]) if len(self.offsets) else 0)
+        return index if shift == 0 else index + shift
 
     # -- identity ---------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

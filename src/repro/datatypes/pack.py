@@ -8,9 +8,14 @@ funnel through these two functions, so a single correctness property
 entire data plane.
 
 Buffers are 1-D ``uint8`` NumPy arrays (raw device or host memory).
-The hot path is one fancy-indexing gather/scatter using the layout's
-cached flat index — the vectorized-NumPy idiom the HPC guides
-recommend over Python-level block loops.
+Each call moves only payload bytes, along the layout's pack plan
+(:mod:`.layout`), and the layout's shape alone picks the path:
+
+* a layout with a row form is one ``np.copyto`` between its strided
+  ``(count, block)`` view and the dense ``(count, block)`` packed rows;
+* an irregular layout is one gather (pack) or scatter (unpack) with
+  its cached gather index, on the buffer sliced at the first payload
+  byte.
 """
 
 from __future__ import annotations
@@ -29,17 +34,24 @@ def as_byte_view(array: np.ndarray) -> np.ndarray:
     return array.view(np.uint8).reshape(-1)
 
 
-def _check(buffer: np.ndarray, layout: DataLayout, base_offset: int, what: str) -> None:
+def _check(buffer: np.ndarray, layout: DataLayout, base_offset: int, what: str) -> int:
+    """Validate ``buffer`` for ``layout``; returns where its payload starts."""
     if buffer.dtype != np.uint8 or buffer.ndim != 1:
         raise TypeError(f"{what} buffer must be a 1-D uint8 array")
     if layout.num_blocks == 0:
-        return
+        return 0
     lo = int(layout.offsets[0]) + base_offset
     hi = int(layout.offsets[-1] + layout.lengths[-1]) + base_offset
     if lo < 0 or hi > len(buffer):
         raise IndexError(
             f"layout [{lo}, {hi}) exceeds {what} buffer of {len(buffer)} bytes"
         )
+    return lo
+
+
+def _first_byte_index(layout: DataLayout) -> np.ndarray:
+    """The cached gather index, counted from the layout's first payload byte."""
+    return layout.gather_index(-int(layout.offsets[0]) if layout.num_blocks else 0)
 
 
 def pack_bytes(
@@ -51,21 +63,26 @@ def pack_bytes(
     """Gather the layout's bytes from ``source`` into a dense buffer.
 
     ``packed`` may be a preallocated output (its first ``layout.size``
-    bytes are written); otherwise a new array is returned.
-    ``base_offset`` shifts the layout within ``source`` (the buffer
-    argument of ``MPI_Pack``).
+    bytes are written); otherwise a new array is returned, never a view
+    of ``source``.  ``base_offset`` shifts the layout within ``source``
+    (the buffer argument of ``MPI_Pack``).
     """
-    _check(source, layout, base_offset, "source")
-    index = layout.gather_index(base_offset)
+    lo = _check(source, layout, base_offset, "source")
+    size = layout.size
     if packed is None:
-        return source[index]
-    if packed.dtype != np.uint8 or packed.ndim != 1:
+        packed = np.empty(size, dtype=np.uint8)
+    elif packed.dtype != np.uint8 or packed.ndim != 1:
         raise TypeError("packed buffer must be a 1-D uint8 array")
-    if len(packed) < layout.size:
+    elif len(packed) < size:
         raise IndexError(
-            f"packed buffer of {len(packed)} bytes cannot hold {layout.size}"
+            f"packed buffer of {len(packed)} bytes cannot hold {size}"
         )
-    np.take(source, index, out=packed[: layout.size])
+    row = layout.row_form
+    if row is not None:
+        np.copyto(packed[:size].reshape(row[3], row[1]), layout.row_view(source, base_offset))
+    else:
+        # Fancy indexing beats np.take(out=...) here: take buffers its output.
+        packed[:size] = source[lo:][_first_byte_index(layout)]
     return packed
 
 
@@ -77,17 +94,22 @@ def unpack_bytes(
 ) -> np.ndarray:
     """Scatter a dense buffer back into ``dest`` at the layout's blocks.
 
-    Inverse of :func:`pack_bytes`; returns ``dest``.
+    Inverse of :func:`pack_bytes`; returns ``dest``.  Bytes outside the
+    layout are left untouched.
     """
-    _check(dest, layout, base_offset, "dest")
+    lo = _check(dest, layout, base_offset, "dest")
     if packed.dtype != np.uint8 or packed.ndim != 1:
         raise TypeError("packed buffer must be a 1-D uint8 array")
-    if len(packed) < layout.size:
+    size = layout.size
+    if len(packed) < size:
         raise IndexError(
-            f"packed buffer of {len(packed)} bytes is shorter than {layout.size}"
+            f"packed buffer of {len(packed)} bytes is shorter than {size}"
         )
-    index = layout.gather_index(base_offset)
-    dest[index] = packed[: layout.size]
+    row = layout.row_form
+    if row is not None:
+        np.copyto(layout.row_view(dest, base_offset), packed[:size].reshape(row[3], row[1]))
+    else:
+        dest[lo:][_first_byte_index(layout)] = packed[:size]
     return dest
 
 

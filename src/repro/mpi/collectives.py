@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Generator, List, Sequence
 
 from ..datatypes.layout import DataLayout
+from ..datatypes.pack import pack_bytes, unpack_bytes
 from ..gpu.memory import GPUBuffer
 from .communicator import Rank, TypeArg
 from .request import Request
@@ -84,9 +85,10 @@ def alltoall(
     # Local slice: direct device copy (free of wire costs, like a real
     # implementation's memcpy path).
     if sendbuf.functional and recvbuf.functional:
-        src_idx = send_layout.gather_index() + me * send_layout.extent
-        dst_idx = recv_layout.gather_index() + me * recv_layout.extent
-        recvbuf.data[dst_idx] = sendbuf.data[src_idx]
+        unpack_bytes(
+            pack_bytes(sendbuf.data, send_layout, base_offset=me * send_layout.extent),
+            recv_layout, recvbuf.data, base_offset=me * recv_layout.extent,
+        )
     yield from rank.waitall(requests)
 
 
@@ -109,6 +111,11 @@ def allgather(
     me = rank.rank_id
     send_layout = rank.resolve_layout(send_type, 1)
     recv_layout = rank.resolve_layout(recv_type, 1)
+    if send_layout.size != recv_layout.size:
+        raise ValueError(
+            f"allgather type sizes disagree: send {send_layout.size} != "
+            f"recv {recv_layout.size}"
+        )
     tag = _COLL_TAG + (1 << 10) + tag_round
     requests: List[Request] = []
     for peer in range(runtime.size):
@@ -126,9 +133,10 @@ def allgather(
         sreq = yield from rank.isend(sendbuf, send_layout, 1, peer, tag=tag)
         requests.append(sreq)
     if sendbuf.functional and recvbuf.functional:
-        src_idx = send_layout.gather_index()
-        dst_idx = recv_layout.gather_index() + me * recv_layout.extent
-        recvbuf.data[dst_idx] = sendbuf.data[src_idx]
+        unpack_bytes(
+            pack_bytes(sendbuf.data, send_layout),
+            recv_layout, recvbuf.data, base_offset=me * recv_layout.extent,
+        )
     yield from rank.waitall(requests)
 
 

@@ -202,6 +202,9 @@ class Runtime:
         yield record.payload_ready
         nbytes = record.nbytes
         payload = record.payload
+        # The bytes are copied out below; a finished run's records live
+        # on in reference cycles until a collection, so drop the snapshot.
+        record.payload = None
         functional = rreq.user_buffer.functional
         assert not functional or (payload is not None and len(payload) == nbytes)
         if rreq.layout.is_contiguous:

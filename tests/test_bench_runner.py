@@ -1,5 +1,6 @@
 """Tests for the benchmark harness (runner + reports)."""
 
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -110,6 +111,71 @@ def test_verification_detects_dropped_bytes(monkeypatch):
     monkeypatch.setattr(runner_mod, "Cluster", SabotagedCluster)
     with pytest.raises(AssertionError, match="corruption"):
         run_bulk_exchange(_cfg(dim=16, nbuffers=2, iterations=1, warmup=0))
+
+
+def _payload_mask(layout, nbytes):
+    mask = np.zeros(nbytes, dtype=bool)
+    for offset, length in zip(layout.offsets.tolist(), layout.lengths.tolist()):
+        mask[offset : offset + length] = True
+    return mask
+
+
+def _filled_send_buffers(monkeypatch, seed):
+    """Run a small MILC exchange; the send buffers' bytes right after the fill."""
+    filled = []
+    real_fill = runner._fill_random
+
+    def recording_fill(buffers, layout, rng):
+        real_fill(buffers, layout, rng)
+        filled.append((layout, [buf.data.copy() for buf in buffers]))
+
+    monkeypatch.setattr(runner, "_fill_random", recording_fill)
+    run_bulk_exchange(ExperimentConfig(
+        workload=WorkloadCfg(name="MILC", dim=4, nbuffers=2),
+        harness=HarnessCfg(iterations=1, warmup=0, seed=seed),
+    ))
+    ((layout, data),) = filled
+    return layout, data
+
+
+def test_fill_writes_only_payload_bytes_and_is_seeded(monkeypatch):
+    layout, first = _filled_send_buffers(monkeypatch, seed=5)
+    _, again = _filled_send_buffers(monkeypatch, seed=5)
+    _, other = _filled_send_buffers(monkeypatch, seed=6)
+    assert len(first) == 4  # two buffers on each of two ranks
+    payload = _payload_mask(layout, len(first[0]))
+    assert payload.sum() == layout.size < len(first[0])
+    for data in first:
+        assert not data[~payload].any()
+        assert data[payload].any()
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert not np.array_equal(first[0], other[0])
+
+
+@pytest.mark.parametrize("workload, dim, row_plan", [
+    ("MILC", 4, True), ("specfem3D_oc", 200, False),
+])
+def test_verification_detects_one_flipped_payload_byte(monkeypatch, workload, dim, row_plan):
+    """verify=True compares every payload byte, on either pack path."""
+    from repro.gpu import kernels
+
+    real_unpack = kernels.unpack_bytes
+
+    def corrupting_unpack(packed, layout, dest, base_offset=0):
+        out = real_unpack(packed, layout, dest, base_offset=base_offset)
+        dest[int(layout.offsets[-1]) + base_offset] ^= 0xFF
+        return out
+
+    monkeypatch.setattr(kernels, "unpack_bytes", corrupting_unpack)
+    cfg = ExperimentConfig(
+        workload=WorkloadCfg(name=workload, dim=dim, nbuffers=2),
+        harness=HarnessCfg(iterations=1, warmup=0),
+    )
+    spec = cfg.workload.resolve()
+    layout = spec.datatype.flatten().replicate(spec.count)
+    assert (layout.row_form is not None) == row_plan
+    with pytest.raises(AssertionError, match="data corruption"):
+        run_bulk_exchange(cfg)
 
 
 # -- report formatting -------------------------------------------------------------

@@ -23,6 +23,21 @@ def test_engine_benchmarks_report_throughput():
         assert m["events_per_second"] > 0, name
 
 
+def test_engine_reports_the_median_time_run(monkeypatch):
+    walls = iter([5.0, 1.0, 4.0, 2.0, 3.0] * 3)
+    calls = []
+
+    def fake(n):
+        calls.append(n)
+        return {"events": 1.0, "wall_seconds": next(walls), "events_per_second": 1.0}
+
+    for name in ("bench_timeout_chain", "bench_store_pingpong", "bench_allof_fanin"):
+        monkeypatch.setattr(wallclock, name, fake)
+    suite = wallclock.bench_engine(scale=0.01)
+    assert len(calls) == 3 * wallclock.ENGINE_REPEATS == 15
+    assert all(m["wall_seconds"] == 3.0 for m in suite.values())
+
+
 def test_timeout_chain_counts_all_events():
     m = wallclock.bench_timeout_chain(n=1_000)
     # n timeouts + the process bootstrap + process-completion events.
@@ -77,7 +92,8 @@ def test_compare_detects_figure_wall_regression():
 def test_compare_skips_sections_missing_from_candidate():
     baseline = _tiny_artifact()
     baseline["data"]["figures"] = {"fig13": {"wall_seconds": 5.0, "shards": 40.0}}
-    candidate = _tiny_artifact()  # no figure timings at all
+    candidate = copy.deepcopy(baseline)
+    del candidate["data"]["figures"]
     assert wallclock.compare_wallclock(baseline, candidate) == []
 
 

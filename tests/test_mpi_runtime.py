@@ -81,6 +81,19 @@ def test_rget_protocol_runs():
     assert all(r.protocol == RGET for r in reqs["send"])
 
 
+@pytest.mark.parametrize("datatype, protocol", [
+    (Vector(4, 1, 3, DOUBLE), ProtocolCfg()),
+    (Vector(4096, 1, 3, DOUBLE), ProtocolCfg()),
+    (Vector(4096, 1, 3, DOUBLE), ProtocolCfg(rendezvous="rget")),
+    (DataLayout.contiguous(1024), ProtocolCfg()),
+], ids=["eager", "rput", "rget", "contiguous"])
+def test_delivered_payload_snapshot_is_dropped(datatype, protocol):
+    """Once the bytes are in the receiver's buffer, its message record no
+    longer holds the wire copy (records outlive a run in reference cycles)."""
+    _sim, _rt, reqs = exchange(datatype=datatype, protocol=protocol)
+    assert all(r.record is not None and r.record.payload is None for r in reqs["recv"])
+
+
 def test_unknown_rendezvous_rejected():
     with pytest.raises(ValueError):
         make_runtime(protocol=ProtocolCfg(rendezvous="bogus"))
